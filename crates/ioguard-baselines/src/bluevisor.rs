@@ -66,8 +66,8 @@ impl IoPlatform for BlueVisorPlatform {
         self.now
     }
 
-    fn metrics(&self) -> &PlatformMetrics {
-        &self.metrics
+    fn metrics(&self) -> PlatformMetrics {
+        self.metrics
     }
 }
 

@@ -91,8 +91,8 @@ impl IoPlatform for LegacyPlatform {
         self.now
     }
 
-    fn metrics(&self) -> &PlatformMetrics {
-        &self.metrics
+    fn metrics(&self) -> PlatformMetrics {
+        self.metrics
     }
 }
 

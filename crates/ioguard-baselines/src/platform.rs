@@ -50,7 +50,7 @@ impl PlatformJob {
 }
 
 /// Metrics common to every platform.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PlatformMetrics {
     /// Jobs finished before their deadline.
     pub completed_on_time: u64,
@@ -95,8 +95,8 @@ pub trait IoPlatform {
     /// Current slot.
     fn now(&self) -> u64;
 
-    /// Metrics so far.
-    fn metrics(&self) -> &PlatformMetrics;
+    /// Metrics so far, built on demand.
+    fn metrics(&self) -> PlatformMetrics;
 }
 
 /// A deadline-unaware, non-preemptive FIFO I/O device — the hardware

@@ -105,8 +105,8 @@ impl IoPlatform for RtXenPlatform {
         self.now
     }
 
-    fn metrics(&self) -> &PlatformMetrics {
-        &self.metrics
+    fn metrics(&self) -> PlatformMetrics {
+        self.metrics
     }
 }
 

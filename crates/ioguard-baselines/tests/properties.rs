@@ -116,7 +116,7 @@ proptest! {
         ];
         for mut p in platforms {
             let offered = drive(p.as_mut(), &jobs);
-            check_conservation(p.metrics(), offered);
+            check_conservation(&p.metrics(), offered);
         }
     }
 

@@ -2,7 +2,8 @@
 //!
 //! [`Hypervisor::step`] advances one time slot of the global timer:
 //!
-//! 1. pools expire any buffered job whose deadline has passed (misses),
+//! 1. pools expire any buffered job whose deadline has passed (misses) —
+//!    skipped outright when the comparator root's deadline lies ahead,
 //! 2. server budgets replenish (server-based policy only),
 //! 3. if σ\* marks the slot *occupied*, the P-channel fires its pre-defined
 //!    task — untouchable by run-time traffic, which is how pre-loaded tasks
@@ -238,6 +239,9 @@ pub struct Hypervisor {
     /// pool mutation — the G-Sched reads its winner in O(1).
     shadow_index: ShadowIndex,
     pchannel: PChannel,
+    /// σ\* table cursor: `now` modulo the hyper-period, advanced with the
+    /// global timer so the per-slot P-channel lookup needs no division.
+    pchannel_phase: usize,
     gsched: Gsched,
     now: u64,
     metrics: HvMetrics,
@@ -344,6 +348,7 @@ impl Hypervisor {
             pools,
             shadow_index: ShadowIndex::new(params.vms),
             pchannel,
+            pchannel_phase: 0,
             gsched: Gsched::new(params.policy),
             now: 0,
             metrics: HvMetrics::with_vms(params.vms),
@@ -731,36 +736,67 @@ impl Hypervisor {
         result
     }
 
+    /// The two invariants the per-slot fast paths of [`Hypervisor::step`]
+    /// rest on: every comparator-tree leaf mirrors its pool's shadow
+    /// register (so the root gates the deadline sweep), and the σ\* cursor
+    /// is the global timer modulo the hyper-period.
+    #[cfg(debug_assertions)]
+    fn assert_slot_invariants(&self) {
+        for (vm, pool) in self.pools.iter().enumerate() {
+            assert_eq!(
+                self.shadow_index.leaf(vm),
+                pool.shadow_key()
+                    .map(|(deadline, task)| (deadline, task, vm)),
+                "comparator leaf {vm} out of sync with its pool"
+            );
+        }
+        assert_eq!(
+            self.pchannel_phase as u64,
+            self.now % self.pchannel.hyper_period(),
+            "σ* cursor out of step with the global timer"
+        );
+    }
+
     /// Advances the global timer one slot.
     pub fn step(&mut self) {
+        #[cfg(debug_assertions)]
+        self.assert_slot_invariants();
         let now = self.now;
-        // 1. Deadline sweep. The pools pop expired work off their shadow
-        //    registers (O(1) when nothing expired); the comparator tree is
-        //    refreshed only for pools that actually lost entries.
-        for (vm, pool) in self.pools.iter_mut().enumerate() {
-            let missed = pool.expire(now);
-            if missed.is_empty() {
-                continue;
-            }
-            for missed in missed {
-                self.metrics.note_miss(vm, missed.task_id, missed.critical);
-                self.trace.record(
-                    Slots::new(now),
-                    TraceKind::DeadlineMiss,
-                    trace_id(vm as u64),
-                    trace_id(missed.task_id),
-                );
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.sink.record(
-                        now,
-                        ObsKind::DeadlineMiss,
-                        trace_id(vm as u64),
-                        missed.task_id,
-                        u64::from(missed.critical),
-                    );
+        // 1. Deadline sweep, gated on the comparator root: the root holds
+        //    the earliest deadline over every pool, so unless it has passed
+        //    no pool holds expired work and the slot skips the sweep. When
+        //    it has, every pool pops its expired run off its shadow
+        //    register, in ascending VM order.
+        if self
+            .shadow_index
+            .min()
+            .is_some_and(|(deadline, _, _)| deadline <= now)
+        {
+            for (vm, pool) in self.pools.iter_mut().enumerate() {
+                let missed = pool.expire(now);
+                if missed.is_empty() {
+                    continue;
                 }
+                for missed in missed {
+                    self.metrics.note_miss(vm, missed.task_id, missed.critical);
+                    self.trace.record(
+                        Slots::new(now),
+                        TraceKind::DeadlineMiss,
+                        trace_id(vm as u64),
+                        trace_id(missed.task_id),
+                    );
+                    if let Some(obs) = self.obs.as_mut() {
+                        obs.sink.record(
+                            now,
+                            ObsKind::DeadlineMiss,
+                            trace_id(vm as u64),
+                            missed.task_id,
+                            u64::from(missed.critical),
+                        );
+                    }
+                }
+                self.shadow_index.update(vm, pool.shadow_key());
             }
-            self.shadow_index.update(vm, pool.shadow_key());
         }
         // 2. Server replenishment.
         self.gsched.tick(now);
@@ -802,7 +838,7 @@ impl Hypervisor {
         // 3. P-channel owns occupied slots — unless slack reclamation is on
         //    and the pre-defined job already finished early, releasing its
         //    residual reservation to the R-channel.
-        let powner = self.pchannel.fire(now);
+        let powner = self.pchannel.fire_phase(self.pchannel_phase);
         let p_uses_slot = match (powner, self.reclaim) {
             (None, _) => false,
             (Some(owner), None) => {
@@ -1046,6 +1082,7 @@ impl Hypervisor {
             }
         }
         self.now += 1;
+        self.pchannel_phase = self.pchannel.next_phase(self.pchannel_phase);
     }
 
     /// Runs `slots` consecutive slots.

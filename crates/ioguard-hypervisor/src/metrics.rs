@@ -7,6 +7,8 @@
 //! throttle, retry and shedding counters have to be attributable to a
 //! single VM, not just summed across the device.
 
+use std::collections::VecDeque;
+
 use serde::{Deserialize, Serialize};
 
 use ioguard_sim::stats::OnlineStats;
@@ -16,6 +18,40 @@ use ioguard_obs::CounterRegistry;
 
 /// Capacity of the recent-miss diagnostic ring.
 const MISS_RING: usize = 64;
+
+/// The task ids of the last [`MISS_RING`] misses, oldest to newest. Once
+/// full, a push drops the oldest id in O(1).
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct MissRing(VecDeque<u64>);
+
+impl MissRing {
+    fn push(&mut self, task_id: u64) {
+        if self.0.len() == MISS_RING {
+            self.0.pop_front();
+        }
+        self.0.push_back(task_id);
+    }
+
+    /// Number of ids held (at most 64).
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True before the first miss.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The most recent miss.
+    pub fn last(&self) -> Option<&u64> {
+        self.0.back()
+    }
+
+    /// The held ids, oldest to newest.
+    pub fn iter(&self) -> impl Iterator<Item = &u64> {
+        self.0.iter()
+    }
+}
 
 /// Per-VM execution counters.
 ///
@@ -62,7 +98,7 @@ pub struct HvMetrics {
     /// Response latency of completed run-time jobs, in slots.
     pub latency: OnlineStats,
     /// Task ids of the most recent misses (bounded diagnostic ring).
-    pub recent_missed_tasks: Vec<u64>,
+    pub recent_missed_tasks: MissRing,
     /// Per-VM breakdown (indexed by VM; sized at hypervisor construction).
     pub per_vm: Vec<VmMetrics>,
 }
@@ -96,9 +132,6 @@ impl HvMetrics {
         if let Some(per) = self.per_vm.get_mut(vm) {
             per.missed += 1;
             per.critical_missed += u64::from(critical);
-        }
-        if self.recent_missed_tasks.len() == MISS_RING {
-            self.recent_missed_tasks.remove(0);
         }
         self.recent_missed_tasks.push(task_id);
     }

@@ -9,7 +9,8 @@
 //! from.
 
 // lint: allow(indexing, file) — `owners` has hyper-period length and every
-// index is reduced modulo that length first; `tasks[task_index]` uses the
+// index is reduced modulo that length first (or is a cursor that
+// next_phase() wraps at that length); `tasks[task_index]` uses the
 // enumerate() index the job list was built from.
 
 use serde::{Deserialize, Serialize};
@@ -193,6 +194,24 @@ impl PChannel {
     pub fn fire(&self, t: u64) -> Option<SlotOwner> {
         let h = self.owners.len() as u64;
         self.owners[(t % h) as usize]
+    }
+
+    /// [`PChannel::fire`] at table phase `phase` (the global timer modulo
+    /// the hyper-period): the executor advances the phase with
+    /// [`PChannel::next_phase`] as the timer ticks, the way the hardware
+    /// walks σ\*, instead of dividing every slot.
+    pub(crate) fn fire_phase(&self, phase: usize) -> Option<SlotOwner> {
+        self.owners[phase]
+    }
+
+    /// The table phase after `phase`, wrapping at the hyper-period.
+    pub(crate) fn next_phase(&self, phase: usize) -> usize {
+        let next = phase + 1;
+        if next == self.owners.len() {
+            0
+        } else {
+            next
+        }
     }
 
     /// Hyper-period length of the table.

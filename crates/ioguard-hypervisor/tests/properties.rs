@@ -4,9 +4,12 @@ use proptest::prelude::*;
 
 use ioguard_hypervisor::error::HvError;
 use ioguard_hypervisor::gsched::GschedPolicy;
-use ioguard_hypervisor::hypervisor::{Hypervisor, HypervisorParams, PchannelReclaim, RtJob};
+use ioguard_hypervisor::hypervisor::{
+    AdmissionGuard, DegradationPolicy, Hypervisor, HypervisorParams, PchannelReclaim, RtJob,
+};
 use ioguard_hypervisor::pchannel::{PChannel, PredefinedTask};
 use ioguard_hypervisor::pool::{IoPool, PoolEntry};
+use ioguard_obs::ObsKind;
 use ioguard_sched::task::{PeriodicServer, SporadicTask};
 
 fn arb_predefined_set() -> impl Strategy<Value = Vec<PredefinedTask>> {
@@ -360,6 +363,127 @@ proptest! {
                     budget
                 );
                 granted_in_period = 0;
+            }
+        }
+    }
+}
+
+/// Every `(vm, task_id)` buffered with `deadline ≤ now`, read through the
+/// public pool view — the set the slot's deadline sweep must miss.
+fn expired_set(hv: &Hypervisor) -> Vec<(u32, u64)> {
+    let now = hv.now();
+    let mut expired: Vec<(u32, u64)> = hv
+        .pools()
+        .iter()
+        .enumerate()
+        .flat_map(|(vm, pool)| {
+            pool.iter()
+                .filter(move |e| e.deadline <= now)
+                .map(move |e| (vm as u32, e.task_id))
+        })
+        .collect();
+    expired.sort_unstable();
+    expired
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Oracle for the root-gated deadline sweep and the σ* cursor. Random
+    /// interleavings of submit, step, degrade, drain/restore (restored
+    /// entries may carry deadlines already in the past) and flood-control
+    /// throttling; before every step the expired set is read off the
+    /// public pools. The step must miss exactly that set and leave none of
+    /// it buffered, and the P-channel must fire exactly when σ* owns the
+    /// slot.
+    #[test]
+    fn step_misses_exactly_the_expired_set(
+        predefined in arb_predefined_set(),
+        guarded in any::<bool>(),
+        ops in prop::collection::vec((0u8..10, 0usize..3, 1u64..6, 0u64..24), 1..160),
+    ) {
+        let vms = 3;
+        let mut params = HypervisorParams {
+            pool_capacity: 6,
+            ..HypervisorParams::new(vms)
+        }
+        .with_predefined(predefined)
+        .with_admission_guard(AdmissionGuard {
+            window: 8,
+            max_submissions: 4,
+            throttle_slots: 6,
+        })
+        .with_degradation(DegradationPolicy {
+            healthy_slots_to_recover: 5,
+        });
+        if guarded {
+            let servers = (0..vms)
+                .map(|_| PeriodicServer::new(6, 3).expect("valid"))
+                .collect();
+            params = params.with_policy(GschedPolicy::GuardedEdf(servers));
+        }
+        let Ok(mut hv) = Hypervisor::new(params) else {
+            return Ok(()); // infeasible σ*: construction correctly refuses
+        };
+        hv.attach_obs(1 << 12);
+        let mut next_id = 0u64;
+        for (op, vm, a, b) in ops {
+            match op {
+                0..=3 => {
+                    next_id += 1;
+                    let now = hv.now();
+                    let mut job = RtJob::new(vm, next_id, now, a, now + b);
+                    if b % 3 == 0 {
+                        job = job.best_effort();
+                    }
+                    let _ = hv.submit(job);
+                }
+                4 => hv.degrade(),
+                5 => {
+                    // Carry every entry across a drain; pull some deadlines
+                    // into the past so the next sweep must catch them.
+                    for (vm, mut entry) in hv.drain_pools() {
+                        if entry.task_id % 2 == 0 {
+                            entry.deadline = entry.deadline.saturating_sub(b);
+                        }
+                        let _ = hv.restore_entry(vm, entry);
+                    }
+                }
+                _ => {
+                    let now = hv.now();
+                    let expired = expired_set(&hv);
+                    let fires = hv.pchannel().fire(now).is_some();
+                    let before = hv.metrics().clone();
+                    if let Some(obs) = hv.obs_mut() {
+                        obs.sink.clear();
+                    }
+                    hv.step();
+                    let mut missed: Vec<(u32, u64)> = hv
+                        .obs()
+                        .expect("attached")
+                        .sink
+                        .of_kind(ObsKind::DeadlineMiss)
+                        .map(|e| (e.vm, e.task))
+                        .collect();
+                    missed.sort_unstable();
+                    prop_assert_eq!(&missed, &expired, "slot {}", now);
+                    prop_assert_eq!(
+                        hv.metrics().missed - before.missed,
+                        expired.len() as u64,
+                        "slot {}", now
+                    );
+                    for (vm, task) in &expired {
+                        prop_assert!(
+                            hv.pools()[*vm as usize].iter().all(|e| e.task_id != *task),
+                            "slot {}: expired task {} still buffered", now, task
+                        );
+                    }
+                    prop_assert_eq!(
+                        hv.metrics().pchannel_slots - before.pchannel_slots,
+                        u64::from(fires),
+                        "slot {}: σ* ownership", now
+                    );
+                }
             }
         }
     }

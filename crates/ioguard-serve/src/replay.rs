@@ -19,6 +19,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 use bytes::{Bytes, BytesMut};
@@ -37,11 +38,17 @@ use crate::wire::{self, Request, Response};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0100_0000_01b3;
 
-fn fnv_extend(mut state: u64, text: &str) -> u64 {
-    for byte in text.bytes() {
-        state = (state ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+/// FNV-1a over the bytes written into it: `write!` hashes a rendering
+/// without building it as a `String` first.
+struct FnvSink(u64);
+
+impl fmt::Write for FnvSink {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        for byte in text.bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+        Ok(())
     }
-    state
 }
 
 /// Memory-bounded accumulator over a response stream: per-kind counts
@@ -76,7 +83,10 @@ impl ResponseFold {
         if let Some(count) = self.counts.get_mut(ordinal.saturating_sub(1)) {
             *count = count.saturating_add(1);
         }
-        self.digest = fnv_extend(self.digest, &format!("{resp}\n"));
+        let mut sink = FnvSink(self.digest);
+        // Writing into the sink cannot fail.
+        let _ = writeln!(sink, "{resp}");
+        self.digest = sink.0;
         self.total = self.total.saturating_add(1);
     }
 

@@ -160,6 +160,9 @@ pub struct ServeCluster {
     config: ServeConfig,
     shards: Vec<ServeShard>,
     bindings: BTreeMap<u32, Binding>,
+    /// Queued requests of connected clients. Holds only the clients with
+    /// requests waiting for the next slot, so phase 1 of
+    /// [`ServeCluster::step`] visits no idle client.
     backlogs: BTreeMap<u32, VecDeque<Request>>,
     counters: CounterRegistry,
     sink: TraceSink,
@@ -384,8 +387,6 @@ impl ServeCluster {
             *slot = Some(client);
         }
         self.bindings.insert(client, Binding { shard: idx, pool });
-        // lint: allow(unbounded-spillover) — membership is bounded by the max_clients gate at connect entry; the queue starts empty and every later grow is capacity-guarded
-        self.backlogs.insert(client, VecDeque::new());
         self.note(
             ObsKind::Marker,
             client,
@@ -484,13 +485,7 @@ impl ServeCluster {
             });
         }
         let cap = self.config.backlog_capacity;
-        let Some(backlog) = self.backlogs.get_mut(&origin) else {
-            return Some(Response::Rejected {
-                client: origin,
-                task_id,
-                reason: RejectReason::NotConnected,
-            });
-        };
+        let backlog = self.backlogs.entry(origin).or_default();
         // Bounded spillover: the capacity guard is the backpressure
         // contract — beyond the bound we shed, never grow.
         if backlog.len() < cap {
@@ -581,19 +576,15 @@ impl ServeCluster {
     /// records. Returns all responses produced this slot.
     pub fn step(&mut self) -> Vec<Response> {
         let mut responses = Vec::new();
-        // Phase 1: submissions. Verdicts come from the typed submit
-        // results; the hypervisor's own submission-time observer events
-        // are redundant with them and get discarded in phase 2.
-        let clients: Vec<u32> = self.backlogs.keys().copied().collect();
-        for client in clients {
+        // Phase 1: submissions, from the clients with queued requests
+        // only. Verdicts come from the typed submit results; the
+        // hypervisor's own submission-time observer events are redundant
+        // with them and get discarded in phase 2.
+        for (client, backlog) in std::mem::take(&mut self.backlogs) {
             let Some(&binding) = self.bindings.get(&client) else {
                 continue;
             };
-            while let Some(request) = self
-                .backlogs
-                .get_mut(&client)
-                .and_then(|queue| queue.pop_front())
-            {
+            for request in backlog {
                 let resp = self.submit_one(client, binding, request);
                 responses.push(resp);
             }
@@ -616,6 +607,14 @@ impl ServeCluster {
         responses
     }
 
+    /// The client bound to pool `vm` of `shard` (kept while a
+    /// disconnected client's pool drains).
+    fn pool_client(&self, shard: usize, vm: u32) -> Option<u32> {
+        self.shards
+            .get(shard)
+            .and_then(|s| s.pool_client.get(vm as usize).copied().flatten())
+    }
+
     fn translate_shard_events(&mut self, idx: usize, responses: &mut Vec<Response>) {
         let Some(shard) = self.shards.get_mut(idx) else {
             return;
@@ -632,31 +631,11 @@ impl ServeCluster {
             }
             obs.sink.clear();
         }
-        let pool_client = shard.pool_client.clone();
-        // Free drained pools of disconnected clients.
-        let draining: Vec<usize> = shard.draining.iter().copied().collect();
-        for pool in draining {
-            let empty = shard
-                .hv
-                .pools()
-                .get(pool)
-                .map(|p| p.is_empty())
-                .unwrap_or(true);
-            if empty {
-                shard.draining.remove(&pool);
-                shard.free_pools.insert(pool);
-                if let Some(slot) = shard.pool_client.get_mut(pool) {
-                    *slot = None;
-                }
-            }
-        }
         let shard_tag = trace_idx(idx);
-        let client_of =
-            |vm: u32| -> Option<u32> { pool_client.get(vm as usize).copied().flatten() };
         for event in events {
             match event.kind {
                 ObsKind::Complete => {
-                    if let Some(client) = client_of(event.vm) {
+                    if let Some(client) = self.pool_client(idx, event.vm) {
                         self.note(ObsKind::Complete, client, event.task, event.arg);
                         responses.push(Response::Completed {
                             client,
@@ -666,7 +645,7 @@ impl ServeCluster {
                     }
                 }
                 ObsKind::DeadlineMiss => {
-                    if let Some(client) = client_of(event.vm) {
+                    if let Some(client) = self.pool_client(idx, event.vm) {
                         self.note(ObsKind::DeadlineMiss, client, event.task, event.arg);
                         responses.push(Response::Missed {
                             client,
@@ -676,7 +655,7 @@ impl ServeCluster {
                     }
                 }
                 ObsKind::Shed => {
-                    if let Some(client) = client_of(event.vm) {
+                    if let Some(client) = self.pool_client(idx, event.vm) {
                         self.note(ObsKind::Shed, client, event.task, event.arg);
                         responses.push(Response::Shed {
                             client,
@@ -685,16 +664,16 @@ impl ServeCluster {
                     }
                 }
                 ObsKind::Retry => {
-                    let client = client_of(event.vm).unwrap_or(SYSTEM_VM);
+                    let client = self.pool_client(idx, event.vm).unwrap_or(SYSTEM_VM);
                     self.note(ObsKind::Retry, client, event.task, event.arg);
                 }
                 ObsKind::ThrottledSlot => {
-                    if let Some(client) = client_of(event.vm) {
+                    if let Some(client) = self.pool_client(idx, event.vm) {
                         self.note(ObsKind::ThrottledSlot, client, event.task, event.arg);
                     }
                 }
                 ObsKind::Throttle => {
-                    if let Some(client) = client_of(event.vm) {
+                    if let Some(client) = self.pool_client(idx, event.vm) {
                         self.note(ObsKind::Throttle, client, event.task, event.arg);
                     }
                 }
@@ -720,6 +699,100 @@ impl ServeCluster {
                 }
                 _ => {}
             }
+        }
+        // Free drained pools of disconnected clients — only after their
+        // events were attributed above, so a job completing in the slot
+        // that drains its pool still reaches its client.
+        if let Some(shard) = self.shards.get_mut(idx) {
+            let ServeShard {
+                hv,
+                free_pools,
+                pool_client,
+                draining,
+                ..
+            } = shard;
+            draining.retain(|&pool| {
+                let empty = hv.pools().get(pool).is_none_or(|p| p.is_empty());
+                if empty {
+                    free_pools.insert(pool);
+                    if let Some(slot) = pool_client.get_mut(pool) {
+                        *slot = None;
+                    }
+                }
+                !empty
+            });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ioguard_sched::SporadicTask;
+
+    fn request_frame(client: u32, task_id: u64, wcet: u64) -> (u32, Bytes) {
+        let request = Request {
+            client,
+            task_id,
+            wcet,
+            deadline_rel: 64,
+            critical: true,
+            payload: Bytes::copy_from_slice(b"in-flight"),
+        };
+        let frame = wire::encode_request_frame(&request).expect("valid request encodes");
+        (client, frame)
+    }
+
+    /// A disconnected client's last in-flight job completes in the very
+    /// slot that drains its pool. The completion must still reach that
+    /// client: events are attributed before the drained pool is freed.
+    #[test]
+    fn completion_in_the_draining_slot_reaches_the_disconnected_client() {
+        let mut cluster = ServeCluster::new(ServeConfig::new(1, 2)).expect("valid config");
+        let server = PeriodicServer::new(64, 8).expect("valid server");
+        let mut tasks = TaskSet::new();
+        tasks.push(SporadicTask::new(512, 2, 256).expect("valid task"));
+        let client = 7;
+        assert!(matches!(
+            cluster.connect(client, server, &tasks),
+            Response::Connected { .. }
+        ));
+        assert!(cluster
+            .ingest(&[request_frame(client, 42, 2)], 1)
+            .is_empty());
+        // Slot 0: the job is admitted and runs its first slot.
+        assert_eq!(
+            cluster.step(),
+            vec![Response::Accepted {
+                client,
+                task_id: 42
+            }]
+        );
+        // The client leaves with one slot of work still in its pool.
+        assert_eq!(
+            cluster.disconnect(client),
+            Response::Disconnected { client }
+        );
+        // Slot 1: the job completes and the pool drains in the same slot.
+        assert_eq!(
+            cluster.step(),
+            vec![Response::Completed {
+                client,
+                task_id: 42,
+                latency: 2,
+            }]
+        );
+        assert_eq!(
+            cluster.client_counters(client).map(|c| c.completed),
+            Some(1)
+        );
+        // The drained pool went back to the free set: two new clients fit
+        // the two-pool shard.
+        for next in [8, 9] {
+            assert!(matches!(
+                cluster.connect(next, server, &tasks),
+                Response::Connected { .. }
+            ));
         }
     }
 }
