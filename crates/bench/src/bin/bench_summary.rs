@@ -14,16 +14,6 @@
 //! acceptance floor — the event-driven core must cover the idle horizon
 //! at least 3× faster than per-cycle stepping.
 //!
-//! The `scaling` section times the domain-decomposed PDES engine
-//! ([`ParallelNetwork`], DESIGN.md §12) against the serial engine on a
-//! pre-loaded saturation backlog at 1/2/4/8 column regions, asserting
-//! exact output equivalence at every region count. The 8-region speedup
-//! floor (2× quick, 4× full) is only *enforced* when the host actually
-//! has the cores to parallelize (`std::thread::available_parallelism()`
-//! at least the region count being gated); on smaller hosts the measured
-//! scaling is reported advisorily — a 1-core container cannot exhibit a
-//! multi-thread speedup no matter how good the engine is.
-//!
 //! The `reconfig` section drives staged, verified mode changes between a
 //! two-VM and a three-VM population at sweeping commit offsets and records
 //! the drain-latency percentiles against the admission-time budget
@@ -50,7 +40,6 @@ use ioguard_hypervisor::pchannel::PredefinedTask;
 use ioguard_noc::network::{Delivery, Network, NetworkConfig, NetworkStats, NocFabric};
 use ioguard_noc::obs::ObservedFabric;
 use ioguard_noc::packet::Packet;
-use ioguard_noc::parallel::ParallelNetwork;
 use ioguard_noc::reference::ReferenceNetwork;
 use ioguard_noc::topology::NodeId;
 use ioguard_obs::Histogram;
@@ -77,13 +66,6 @@ struct Mode {
     sparse_gap: u64,
     /// Slots per `run_trial` in the engine lineup.
     slot_horizon: u64,
-    /// Pre-loaded backlog rounds in the PDES scaling lane.
-    scaling_rounds: u64,
-    /// 8-region speedup floor of the scaling lane (enforced only on hosts
-    /// with at least `scaling_min_cores` hardware threads).
-    scaling_floor: f64,
-    /// Host parallelism required before the scaling floor is enforced.
-    scaling_min_cores: usize,
     /// Timing repetitions (minimum elapsed wins).
     reps: u32,
     /// Completed mode changes in the reconfig drain-latency lane.
@@ -114,9 +96,6 @@ impl Mode {
             sparse_packets: 64,
             sparse_gap: 8_192,
             slot_horizon: 4_000,
-            scaling_rounds: 2,
-            scaling_floor: 2.0,
-            scaling_min_cores: 4,
             reps: 1,
             reconfig_flips: 16,
             admission_residents: 10_000,
@@ -136,9 +115,6 @@ impl Mode {
             sparse_packets: 256,
             sparse_gap: 8_192,
             slot_horizon: 16_000,
-            scaling_rounds: 4,
-            scaling_floor: 4.0,
-            scaling_min_cores: 8,
             reps: 3,
             reconfig_flips: 64,
             admission_residents: 10_000,
@@ -216,41 +192,6 @@ fn drive_sparse<N: NocFabric + ?Sized>(net: &mut N, packets: u64, gap: u64) -> O
         net.run_for(gap, &mut deliveries);
     }
     net.run_until_idle_into(1_000_000, &mut deliveries);
-    Outcome {
-        stats: net.stats(),
-        now: net.now().raw(),
-        deliveries,
-    }
-}
-
-/// Fills every NI queue to refusal with cross-mesh traffic, then releases
-/// the whole backlog at once — `rounds` times. Per-cycle stepping would
-/// drag the PDES engine onto its sequential path (a 1-cycle batch can
-/// never engage region threads), so the scaling lane times this shape:
-/// long uninterrupted `run_until_idle` batches over a saturated fabric.
-fn drive_preloaded<N: NocFabric + ?Sized>(
-    net: &mut N,
-    width: u16,
-    height: u16,
-    rounds: u64,
-) -> Outcome {
-    let nodes: Vec<NodeId> = net.mesh().iter_nodes().collect();
-    let mut deliveries: Vec<Delivery> = Vec::new();
-    let mut next_id = 1u64;
-    for _ in 0..rounds {
-        for &src in &nodes {
-            loop {
-                let dst = NodeId::new(width - 1 - src.x, height - 1 - src.y);
-                let packet = Packet::request(next_id, src, dst, PAYLOAD_FLITS)
-                    .expect("benchmark packet is valid");
-                if net.inject(packet).is_err() {
-                    break; // NI full: this node's backlog is loaded.
-                }
-                next_id += 1;
-            }
-        }
-        net.run_until_idle_into(10_000_000, &mut deliveries);
-    }
     Outcome {
         stats: net.stats(),
         now: net.now().raw(),
@@ -629,6 +570,7 @@ fn json_noc_case(name: &str, cmp: &Comparison) -> String {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mode = if quick { Mode::quick() } else { Mode::full() };
+    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     eprintln!("bench-summary: mode={}", mode.label);
 
@@ -682,43 +624,6 @@ fn main() {
         rate(sparse.reference_cycles_per_sec()),
         sparse.speedup(),
     );
-
-    // PDES saturated scaling: serial engine vs the domain-decomposed
-    // parallel engine at 1/2/4/8 column regions on a pre-loaded 8×8
-    // backlog (deep NI queues so each release is one long batch).
-    let mut scaling_config = NetworkConfig::mesh(8, 8);
-    scaling_config.injection_depth = 256;
-    let rounds = mode.scaling_rounds;
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (serial_secs, serial_outcome) = time_runs(mode.reps, || {
-        let mut net = Network::new(scaling_config.clone()).expect("benchmark mesh is valid");
-        drive_preloaded(&mut net, 8, 8, rounds)
-    });
-    eprintln!(
-        "bench-summary: scaling_8x8 serial {} cycles/s ({} host cores)",
-        rate(serial_outcome.now as f64 / serial_secs),
-        host_parallelism,
-    );
-    // (regions, cycles/s, speedup vs serial)
-    let mut scaling_rows: Vec<(usize, f64, f64)> = Vec::new();
-    for regions in [1usize, 2, 4, 8] {
-        let (secs, outcome) = time_runs(mode.reps, || {
-            let mut net = ParallelNetwork::new(scaling_config.clone(), regions)
-                .expect("benchmark mesh is valid");
-            drive_preloaded(&mut net, 8, 8, rounds)
-        });
-        assert_eq!(
-            outcome, serial_outcome,
-            "scaling_8x8: PDES at {regions} regions must equal the serial engine exactly"
-        );
-        let speedup = serial_secs / secs;
-        eprintln!(
-            "bench-summary: scaling_8x8 {regions} regions {} cycles/s ({:.2}x vs serial)",
-            rate(outcome.now as f64 / secs),
-            speedup,
-        );
-        scaling_rows.push((regions, outcome.now as f64 / secs, speedup));
-    }
 
     // Reconfig drain lane: staged, verified mode changes committed at
     // sweeping slot offsets; the observed drain latencies must sit under
@@ -789,21 +694,6 @@ fn main() {
         .iter()
         .map(|(label, value)| format!("      \"{label}\": {}", rate(*value)))
         .collect();
-    let scaling_entries: Vec<String> = scaling_rows
-        .iter()
-        .map(|(regions, cps, speedup)| {
-            format!(
-                "        \"{regions}\": {{ \"cycles_per_sec\": {}, \"speedup_vs_serial\": {speedup:.2} }}",
-                rate(*cps),
-            )
-        })
-        .collect();
-    // Trajectory: keep the last runs' one-line summaries so regressions
-    // in the admission/scaling lanes show up as a trend, not a point.
-    let eight_region_speedup = scaling_rows
-        .iter()
-        .find(|(regions, _, _)| *regions == 8)
-        .map_or(0.0, |(_, _, speedup)| *speedup);
     // Evaluate every acceptance gate BEFORE assembling the document: the
     // rolling history may only record fully-completed runs (an aborted
     // run still writes its JSON for inspection, but appends nothing).
@@ -837,9 +727,9 @@ fn main() {
 
     // Incremental-admission floor: at 10^4 residents one ledger decision
     // must beat the full sweep by >=10x. The measurement is wall-clock, so
-    // like the scaling floor it is only a hard gate on hosts with enough
-    // hardware threads to time reliably; the verdict-equality assertions
-    // inside the lane hold everywhere regardless.
+    // it is only a hard gate on hosts with enough hardware threads to time
+    // reliably; the verdict-equality assertions inside the lane hold
+    // everywhere regardless.
     if host_parallelism >= mode.admission_min_cores {
         if admission.speedup < mode.admission_floor {
             failures.push(format!(
@@ -852,27 +742,6 @@ fn main() {
             "bench-summary: admission floor advisory — host has {host_parallelism} hardware \
              thread(s), {} required to enforce the {:.1}x gate (measured {:.1}x)",
             mode.admission_min_cores, mode.admission_floor, admission.speedup,
-        );
-    }
-
-    // PDES scaling floor — but a measured multi-thread speedup needs
-    // multiple hardware threads, so the floor is only a hard gate on hosts
-    // that can physically deliver it. Elsewhere (e.g. a 1-core CI box) the
-    // measured rows in the JSON are the record, and exact equivalence has
-    // already been asserted above regardless.
-    if host_parallelism >= mode.scaling_min_cores {
-        if eight_region_speedup < mode.scaling_floor {
-            failures.push(format!(
-                "8-region speedup {eight_region_speedup:.2}x is below the {:.1}x floor \
-                 on a {host_parallelism}-core host",
-                mode.scaling_floor,
-            ));
-        }
-    } else {
-        eprintln!(
-            "bench-summary: scaling floor advisory — host has {host_parallelism} hardware \
-             thread(s), {} required to enforce the {:.1}x gate (measured {eight_region_speedup:.2}x)",
-            mode.scaling_min_cores, mode.scaling_floor,
         );
     }
 
@@ -919,16 +788,14 @@ fn main() {
     }
 
     let run_completed = failures.is_empty();
+    // Trajectory: keep the last runs' one-line summaries so regressions
+    // in the admission and serving lanes show up as a trend, not a point.
     let history = rolled_history(
         prior_history("BENCH_noc.json", 7),
         format!(
             "{{\"mode\": \"{}\", \"admission_speedup\": {:.1}, \"admission_p95_ns\": {}, \
-             \"scaling_speedup_8regions\": {:.2}, \"serving_rps\": {:.0}}}",
-            mode.label,
-            admission.speedup,
-            admission.latency_p95_ns,
-            eight_region_speedup,
-            serving.ingest_rps,
+             \"serving_rps\": {:.0}}}",
+            mode.label, admission.speedup, admission.latency_p95_ns, serving.ingest_rps,
         ),
         run_completed,
         7,
@@ -938,25 +805,12 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"ioguard-bench-noc/v5\",\n",
+            "  \"schema\": \"ioguard-bench-noc/v6\",\n",
             "  \"mode\": \"{mode}\",\n",
             "  \"host_parallelism\": {host_par},\n",
             "  \"noc\": {{\n",
             "{saturated},\n",
             "{sparse}\n",
-            "  }},\n",
-            "  \"scaling\": {{\n",
-            "    \"preloaded_8x8\": {{\n",
-            "      \"simulated_cycles\": {scaling_cycles},\n",
-            "      \"flit_hops\": {scaling_hops},\n",
-            "      \"serial_cycles_per_sec\": {serial_cps},\n",
-            "      \"regions\": {{\n",
-            "{scaling_rows}\n",
-            "      }},\n",
-            "      \"floor_regions\": 8,\n",
-            "      \"floor_speedup\": {floor:.1},\n",
-            "      \"floor_enforced\": {enforced}\n",
-            "    }}\n",
             "  }},\n",
             "  \"obs\": {{\n",
             "    \"saturated_8x8\": {{\n",
@@ -1024,12 +878,6 @@ fn main() {
         host_par = host_parallelism,
         saturated = json_noc_case("saturated_8x8", &saturated),
         sparse = json_noc_case("sparse_4x4", &sparse),
-        scaling_cycles = serial_outcome.now,
-        scaling_hops = serial_outcome.stats.flit_hops,
-        serial_cps = rate(serial_outcome.now as f64 / serial_secs),
-        scaling_rows = scaling_entries.join(",\n"),
-        floor = mode.scaling_floor,
-        enforced = host_parallelism >= mode.scaling_min_cores,
         plain_fps = rate(saturated.engine_flits_per_sec()),
         obs_fps = rate(observed_flits_per_sec),
         obs_pct = obs_overhead_pct,

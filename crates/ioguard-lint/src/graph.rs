@@ -1,10 +1,11 @@
 //! Layer 1.5 — the interprocedural concurrency model.
 //!
-//! PR 6 introduced real shared-memory concurrency (`ParallelNetwork`:
-//! mutex-guarded hand-off channels, a sense-reversing `EpochSync` barrier,
-//! atomics), which per-line token scans cannot reason about: a lock-order
-//! inversion involves two functions, and a guard held across a barrier wait
-//! is a *liveness* property of a span of code, not a single line.
+//! The work-stealing trial engine (`ioguard-core::engine`) shares memory
+//! between threads: mutex-guarded per-worker deques and an atomic steal
+//! counter. Per-line token scans cannot reason about that kind of code: a
+//! lock-order inversion involves two functions, and a guard held across a
+//! barrier wait is a *liveness* property of a span of code, not a single
+//! line.
 //!
 //! This module builds a lightweight item model on top of the stripped-line
 //! scanner ([`crate::scan`]) — no `syn`, the workspace builds offline:
@@ -27,10 +28,9 @@
 //!   over calls, must be acyclic (a cycle means two threads can take the
 //!   same mutexes in opposite orders and deadlock);
 //! * [`rule::LOCK_ACROSS_BARRIER`] — no guard may be live at a barrier
-//!   wait, directly or through a call whose summary reaches one (the peer
-//!   region would block on the mutex while this thread blocks on the
-//!   barrier: the PDES protocol requires all guards released before
-//!   `EpochSync::arrive`);
+//!   wait, directly or through a call whose summary reaches one (a peer
+//!   thread would block on the mutex while this thread blocks on the
+//!   barrier, and neither could make progress);
 //! * [`rule::RELAXED_ORDERING`] — on atomic fields that are both read and
 //!   written (the cross-thread ones), `Ordering::Relaxed` and unpaired
 //!   `Acquire`/`Release` need a justified allow;

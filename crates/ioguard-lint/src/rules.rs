@@ -251,8 +251,7 @@ const NONDET_TOKENS: &[&str] = &[
 ];
 
 /// Identifier components that mark a receiver as a cross-thread hand-off
-/// queue (the PDES engine's boundary channels, and anything named like
-/// them). A component matches after `_`-splitting, so `noc_inbox`,
+/// queue. A component matches after `_`-splitting, so `noc_inbox`,
 /// `handoff_queue` and `self.outbox` all qualify.
 const HANDOFF_VOCAB: &[&str] = &[
     "inbox",
@@ -268,8 +267,7 @@ const HANDOFF_VOCAB: &[&str] = &[
 /// Accessors that consume a queue in *arrival* order. On a queue fed by
 /// another thread, arrival order is scheduler-dependent: draining one this
 /// way is only deterministic when every message carries an explicit merge
-/// key (e.g. the PDES engine's `(cycle, link)` tags) that the consumer
-/// filters on.
+/// key (e.g. a `(cycle, link)` tag) that the consumer filters on.
 const HANDOFF_DRAIN_TOKENS: &[&str] = &[
     ".pop_front(",
     ".pop_back(",

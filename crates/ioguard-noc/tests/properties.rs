@@ -2,10 +2,10 @@
 
 use proptest::prelude::*;
 
-use ioguard_noc::network::{Network, NetworkConfig};
+use ioguard_noc::network::{Network, NetworkConfig, NocFabric};
 use ioguard_noc::packet::{Packet, PacketKind};
-use ioguard_noc::parallel::ParallelNetwork;
-use ioguard_noc::topology::{Mesh, NodeId, RegionMap};
+use ioguard_noc::reference::ReferenceNetwork;
+use ioguard_noc::topology::{Mesh, NodeId};
 
 fn arb_mesh_dims() -> impl Strategy<Value = (u16, u16)> {
     (2u16..=5, 2u16..=5)
@@ -158,36 +158,32 @@ proptest! {
         prop_assert_eq!(net.stats().flit_hops, expected);
     }
 
-    /// The PDES engine matches the serial engine for *arbitrary* (even
-    /// non-contiguous) random partitions: region shape is a performance
-    /// knob, never a correctness one.
+    /// The event-driven engine matches the per-cycle reference stepper on
+    /// random mesh sizes under a per-cycle injection stream: admissions,
+    /// deliveries, stats, clock and in-flight count all agree.
     #[test]
-    fn random_partitions_match_serial(
+    fn engine_matches_reference_on_random_meshes(
         (w, h) in arb_mesh_dims(),
-        assign in prop::collection::vec(0u8..6, 4..=25),
         packets in (2u16..=5, 2u16..=5).prop_flat_map(|(w, h)| arb_packets(w, h)),
     ) {
         let mesh = Mesh::new(w, h);
-        // Tile the raw assignment over the mesh, then renumber densely.
-        let raw: Vec<u8> = (0..mesh.nodes()).map(|i| assign[i % assign.len()]).collect();
-        let map = RegionMap::from_assignment(mesh, &raw).expect("length matches");
         let config = NetworkConfig::mesh(w, h);
-        let mut serial = Network::new(config.clone()).expect("valid");
-        let mut par = ParallelNetwork::with_map(config, map).expect("valid map");
-        let mut s_out = Vec::new();
-        let mut p_out = Vec::new();
+        let mut engine = Network::new(config.clone()).expect("valid");
+        let mut reference = ReferenceNetwork::new(config).expect("valid");
+        let mut e_out = Vec::new();
+        let mut r_out = Vec::new();
         for p in packets.iter().filter(|p| mesh.contains(p.src()) && mesh.contains(p.dst())) {
-            let s = serial.inject(p.clone());
-            let q = par.inject(p.clone());
-            prop_assert_eq!(s.is_ok(), q.is_ok(), "admission diverged");
-            serial.step_into(&mut s_out);
-            par.step_into(&mut p_out);
+            let e = engine.inject(p.clone());
+            let r = reference.inject(p.clone());
+            prop_assert_eq!(e.is_ok(), r.is_ok(), "admission diverged");
+            engine.step_into(&mut e_out);
+            reference.step_into(&mut r_out);
         }
-        serial.run_until_idle_into(1_000_000, &mut s_out);
-        par.run_until_idle_into(1_000_000, &mut p_out);
-        prop_assert_eq!(&s_out, &p_out, "deliveries diverged");
-        prop_assert_eq!(serial.stats(), par.stats());
-        prop_assert_eq!(serial.now(), par.now());
-        prop_assert_eq!(serial.in_flight(), par.in_flight());
+        engine.run_until_idle_into(1_000_000, &mut e_out);
+        reference.run_until_idle_into(1_000_000, &mut r_out);
+        prop_assert_eq!(&e_out, &r_out, "deliveries diverged");
+        prop_assert_eq!(engine.stats(), reference.stats());
+        prop_assert_eq!(engine.now(), reference.now());
+        prop_assert_eq!(engine.in_flight(), reference.in_flight());
     }
 }
