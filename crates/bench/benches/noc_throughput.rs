@@ -13,16 +13,23 @@
 //!   where idle-gap jumping and express transit pay for the whole
 //!   redesign: cost scales with work, not with the simulated horizon.
 //!
-//! `bench-summary` (`cargo run -p ioguard-bench --bin bench-summary`)
-//! times the same workloads against the retained per-cycle reference
-//! stepper and emits the machine-readable `BENCH_noc.json`.
+//! Before timing anything the bench asserts two wall-clock floors, each
+//! on the median of [`FLOOR_RUNS`] alternating runs:
+//!
+//! * the sparse trickle runs at least 3× faster on [`Network`] than on
+//!   the per-cycle [`ReferenceNetwork`];
+//! * wrapping the saturated 8×8 load in an [`ObservedFabric`] (trace sink
+//!   plus latency histogram) costs less than 5% of its time.
 //!
 //! Run with: `cargo bench -p ioguard-bench --bench noc_throughput`
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use ioguard_noc::network::{Delivery, Network, NetworkConfig};
+use ioguard_bench::{median_time_ratio, FLOOR_RUNS};
+use ioguard_noc::network::{Delivery, Network, NetworkConfig, NocFabric};
+use ioguard_noc::obs::ObservedFabric;
 use ioguard_noc::packet::Packet;
+use ioguard_noc::reference::ReferenceNetwork;
 use ioguard_noc::topology::NodeId;
 use ioguard_sim::rng::Xoshiro256StarStar;
 
@@ -40,11 +47,10 @@ struct UniformCase {
     cycles: u64,
 }
 
-/// Drives `cycles` of seeded uniform-random traffic plus a drain, and
-/// returns (flit-hops executed, simulated cycles) for throughput math.
-fn run_uniform(case: &UniformCase) -> (u64, u64) {
-    let config = NetworkConfig::mesh(case.width, case.height);
-    let mut net = Network::new(config).expect("benchmark mesh is valid");
+/// Drives `cycles` of seeded uniform-random traffic plus a drain through
+/// `net`, and returns (flit-hops executed, simulated cycles) for
+/// throughput math.
+fn drive_uniform<N: NocFabric>(net: &mut N, case: &UniformCase) -> (u64, u64) {
     let nodes: Vec<NodeId> = net.mesh().iter_nodes().collect();
     let mut rng = Xoshiro256StarStar::new(0x0_c0de_5eed);
     let mut out: Vec<Delivery> = Vec::new();
@@ -78,10 +84,18 @@ fn run_uniform(case: &UniformCase) -> (u64, u64) {
     (net.stats().flit_hops, net.now().raw())
 }
 
+fn uniform_network(case: &UniformCase) -> Network {
+    Network::new(NetworkConfig::mesh(case.width, case.height)).expect("benchmark mesh is valid")
+}
+
+fn run_uniform(case: &UniformCase) -> (u64, u64) {
+    drive_uniform(&mut uniform_network(case), case)
+}
+
 /// Drives a quiescence-heavy trickle — one cross-mesh packet per `gap`
-/// cycles — through `run_for`, and returns the simulated horizon covered.
-fn run_sparse(packets: u64, gap: u64) -> u64 {
-    let mut net = Network::new(NetworkConfig::mesh(4, 4)).expect("benchmark mesh is valid");
+/// cycles — through `run_for` on `net` (a 4×4 mesh), and returns the
+/// simulated horizon covered.
+fn drive_sparse<N: NocFabric>(net: &mut N, packets: u64, gap: u64) -> u64 {
     let mut out: Vec<Delivery> = Vec::new();
     for i in 0..packets {
         let src = NodeId::new((i % 4) as u16, (i / 4 % 4) as u16);
@@ -94,6 +108,59 @@ fn run_sparse(packets: u64, gap: u64) -> u64 {
     net.run_until_idle_into(1_000_000, &mut out);
     assert_eq!(net.stats().delivered, packets, "trickle fully delivered");
     net.now().raw()
+}
+
+fn sparse_network() -> Network {
+    Network::new(NetworkConfig::mesh(4, 4)).expect("benchmark mesh is valid")
+}
+
+/// The saturated load of both the observability floor and the
+/// `8x8_high` timing case.
+const SATURATED_8X8: UniformCase = UniformCase {
+    width: 8,
+    height: 8,
+    rate: 0.30,
+    cycles: 2_000,
+};
+
+/// The sparse trickle of both the reference floor and the timing case.
+const SPARSE_PACKETS: u64 = 64;
+const SPARSE_GAP: u64 = 8_192;
+
+/// Asserts the two wall-clock floors (module docs) before any timing.
+fn assert_floors() {
+    let speedup = median_time_ratio(
+        || {
+            let mut reference =
+                ReferenceNetwork::new(NetworkConfig::mesh(4, 4)).expect("benchmark mesh is valid");
+            drive_sparse(&mut reference, SPARSE_PACKETS, SPARSE_GAP)
+        },
+        || drive_sparse(&mut sparse_network(), SPARSE_PACKETS, SPARSE_GAP),
+    );
+    println!("noc floor: sparse engine/reference speedup {speedup:.1}x (floor 3x)");
+    assert!(
+        speedup >= 3.0,
+        "sparse speedup {speedup:.2}x over the reference stepper is below the 3x floor \
+         (median of {FLOOR_RUNS} runs)"
+    );
+
+    let case = SATURATED_8X8;
+    let ratio = median_time_ratio(
+        || {
+            drive_uniform(
+                &mut ObservedFabric::new(uniform_network(&case), 1 << 16),
+                &case,
+            )
+        },
+        || run_uniform(&case),
+    );
+    let overhead_pct = (ratio - 1.0) * 100.0;
+    println!("noc floor: observed overhead {overhead_pct:+.1}% (ceiling 5%)");
+    assert!(
+        overhead_pct < 5.0,
+        "observability overhead {overhead_pct:.1}% on the saturated 8x8 load is at or above \
+         the 5% ceiling (median of {FLOOR_RUNS} runs)"
+    );
 }
 
 fn bench_uniform(c: &mut Criterion) {
@@ -125,15 +192,7 @@ fn bench_uniform(c: &mut Criterion) {
                 cycles: 2_000,
             },
         ),
-        (
-            "8x8_high",
-            UniformCase {
-                width: 8,
-                height: 8,
-                rate: 0.30,
-                cycles: 2_000,
-            },
-        ),
+        ("8x8_high", SATURATED_8X8),
     ];
     let mut group = c.benchmark_group("noc/uniform_2000_cycles");
     group.sample_size(10);
@@ -149,12 +208,19 @@ fn bench_sparse(c: &mut Criterion) {
     let mut group = c.benchmark_group("noc/sparse_run_for");
     group.sample_size(10);
     group.bench_function("4x4_64pkts_8192_gap", |b| {
-        b.iter(|| black_box(run_sparse(64, 8_192)))
+        b.iter(|| {
+            black_box(drive_sparse(
+                &mut sparse_network(),
+                SPARSE_PACKETS,
+                SPARSE_GAP,
+            ))
+        })
     });
     group.finish();
 }
 
 fn benches(c: &mut Criterion) {
+    assert_floors();
     bench_uniform(c);
     bench_sparse(c);
 }

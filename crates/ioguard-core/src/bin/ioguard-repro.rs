@@ -15,7 +15,8 @@
 //! `--trials` sets the per-point trial count of the Fig. 7 sweep (default
 //! 25; the paper uses 1000). `--threads` caps the experiment engine's
 //! worker count (default 0 = all cores); results are bit-identical for any
-//! value.
+//! value. An unknown command or flag, or a flag value that is not a
+//! number, prints the usage and exits with status 2.
 
 use std::process::ExitCode;
 
@@ -26,12 +27,48 @@ use ioguard_core::experiments::{
 };
 use ioguard_core::predictability::{latency_profiles, PredictabilityConfig};
 
-fn flag(args: &[String], name: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+const USAGE: &str = "usage: ioguard-repro <fig3|fig6|table1|fig7|fig8|sched|predictability|all> \
+[--trials N] [--threads N] [--eta N]";
+
+/// A parsed command line: the command plus every flag's value.
+#[derive(Debug, PartialEq, Eq)]
+struct Cli {
+    command: String,
+    trials: u64,
+    threads: usize,
+    eta: u32,
+}
+
+fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+    let text = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    text.parse()
+        .map_err(|_| format!("{flag}: cannot parse {text:?}"))
+}
+
+/// Parses `<command> [--trials N] [--threads N] [--eta N]`; the command
+/// itself is checked by `main`.
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        command: args.first().map_or("help", String::as_str).to_string(),
+        trials: 25,
+        threads: 0,
+        eta: 5,
+    };
+    let mut flags = args.iter().skip(1);
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--trials" => cli.trials = parse_value(flag, flags.next())?,
+            "--threads" => cli.threads = parse_value(flag, flags.next())?,
+            "--eta" => cli.eta = parse_value(flag, flags.next())?,
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+    }
+    Ok(cli)
+}
+
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("ioguard-repro: {message}\n{USAGE}");
+    ExitCode::from(2)
 }
 
 fn run_fig3() {
@@ -66,9 +103,9 @@ fn run_fig7(trials: u64, threads: usize) {
     }
 }
 
-fn run_fig8(eta: u64) {
+fn run_fig8(eta: u32) {
     println!("== Fig. 8 — scalability ==");
-    println!("{}", fig8_report(eta as u32));
+    println!("{}", fig8_report(eta));
 }
 
 fn run_sched() {
@@ -98,11 +135,16 @@ fn run_predictability() {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = args.first().map(String::as_str).unwrap_or("help");
-    let trials = flag(&args, "--trials", 25);
-    let eta = flag(&args, "--eta", 5);
-    let threads = flag(&args, "--threads", 0) as usize;
-    match command {
+    let Cli {
+        command,
+        trials,
+        threads,
+        eta,
+    } = match parse_args(&args) {
+        Ok(cli) => cli,
+        Err(message) => return usage_error(&message),
+    };
+    match command.as_str() {
         "fig3" => run_fig3(),
         "fig6" => run_fig6(),
         "table1" => run_table1(),
@@ -119,16 +161,50 @@ fn main() -> ExitCode {
             run_predictability();
             run_fig7(trials, threads);
         }
-        "help" | "--help" | "-h" => {
-            println!(
-                "usage: ioguard-repro <fig3|fig6|table1|fig7|fig8|sched|predictability|all> \
-                 [--trials N] [--threads N] [--eta N]"
-            );
-        }
-        other => {
-            eprintln!("unknown command {other:?}; try `ioguard-repro help`");
-            return ExitCode::FAILURE;
-        }
+        "help" | "--help" | "-h" => println!("{USAGE}"),
+        other => return usage_error(&format!("unknown command {other:?}")),
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn flags_override_the_defaults() {
+        assert_eq!(
+            parse(&["all", "--trials", "2", "--threads", "4", "--eta", "3"]),
+            Ok(Cli {
+                command: "all".into(),
+                trials: 2,
+                threads: 4,
+                eta: 3,
+            })
+        );
+        assert_eq!(
+            parse(&[]),
+            Ok(Cli {
+                command: "help".into(),
+                trials: 25,
+                threads: 0,
+                eta: 5,
+            })
+        );
+    }
+
+    #[test]
+    fn bad_values_and_unknown_flags_are_errors() {
+        assert!(parse(&["fig7", "--trials", "abc"]).is_err());
+        assert!(parse(&["fig7", "--threads", "x"]).is_err());
+        assert!(parse(&["fig8", "--eta", "-1"]).is_err());
+        assert!(parse(&["fig7", "--trials"]).is_err());
+        assert!(parse(&["fig7", "--trails", "3"]).is_err());
+        assert!(parse(&["fig7", "3"]).is_err());
+    }
 }

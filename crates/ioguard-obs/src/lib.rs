@@ -21,8 +21,8 @@
 //! * [`span`] — lightweight profiling spans ([`Profiler`]), feature-gated
 //!   (`profiling`) so the default build compiles the hooks to no-ops.
 //! * [`export`] — hand-formatted JSON helpers for the `trace-export` bin
-//!   (`OBS_snapshot.json`), mirroring the `bench-summary` style because the
-//!   workspace has no JSON serializer dependency.
+//!   (`OBS_snapshot.json`), formatted by hand because the workspace has no
+//!   JSON serializer dependency.
 //! * [`prom`] — Prometheus text-format rendering of the counter registry
 //!   and latency histograms, the scrape surface of the `ioguard-serve`
 //!   front-end.

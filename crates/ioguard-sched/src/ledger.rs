@@ -657,6 +657,38 @@ mod tests {
         assert_eq!(s.checkpoints_touched, 64 - 16 + 1);
     }
 
+    /// The deterministic form of the O(Δ) claim: an admit+evict pair
+    /// applies exactly `2·frame/Π` delta events whatever the population,
+    /// here 1 resident vs 10⁴ residents of the many-small-reservations
+    /// shape (harmonic periods 2¹⁴..2¹⁷, Θ = 1, frame 2²⁰).
+    #[test]
+    fn admit_evict_cost_is_independent_of_the_resident_count() {
+        const FRAME: u64 = 1 << 20;
+        let menu = [1u64 << 14, 1 << 15, 1 << 16, 1 << 17];
+        let candidate = server(1 << 14, 1);
+        let pair_events = |residents: u64| {
+            let mut ledger = DemandLedger::new(sigma(64, &[0]), FRAME).unwrap();
+            let servers: Vec<PeriodicServer> = (0..residents)
+                .map(|id| {
+                    let s = server(menu[id as usize % menu.len()], 1);
+                    assert!(ledger.admit(id, s).unwrap().admitted());
+                    s
+                })
+                .collect();
+            assert_eq!(
+                ledger.verdict(),
+                theorem1_frame(ledger.sigma(), &servers, FRAME)
+            );
+            let before = ledger.events_applied();
+            assert!(ledger.admit(residents, candidate).unwrap().admitted());
+            ledger.evict(residents).unwrap();
+            ledger.events_applied() - before
+        };
+        let expected = 2 * FRAME / candidate.period();
+        assert_eq!(pair_events(1), expected);
+        assert_eq!(pair_events(10_000), expected);
+    }
+
     #[test]
     fn agrees_with_theorem1_exact_on_harmonic_systems() {
         // When the frame is a common multiple the ledger and the lcm-bound
