@@ -3,8 +3,8 @@
 //! Reports the two rates the perf work targets:
 //!
 //! * **slots/s** — how fast one trial advances the platform models, per
-//!   system (the incremental shadow registers and the release calendar
-//!   live on this path);
+//!   system (the incremental shadow registers, the release schedule and
+//!   the event-driven FIFO baselines live on this path);
 //! * **trials/s** — how fast the engine drains a Fig. 7-shaped batch of
 //!   trials, single-threaded vs. all cores (the work-stealing payoff).
 //!

@@ -57,9 +57,11 @@ impl IoPlatform for BlueVisorPlatform {
         self.device.enqueue(job, &mut self.metrics);
     }
 
-    fn step(&mut self) {
-        self.device.step(self.now, &mut self.metrics);
-        self.now += 1;
+    fn advance_to(&mut self, slot: u64) {
+        if slot > self.now {
+            self.device.advance(self.now, slot, &mut self.metrics);
+            self.now = slot;
+        }
     }
 
     fn now(&self) -> u64 {
@@ -83,9 +85,7 @@ mod tests {
     fn fast_path_has_no_queueing_latency() {
         let mut p = BlueVisorPlatform::new(4, 0);
         p.submit(job(1, 0, 2, 100));
-        for _ in 0..4 {
-            p.step();
-        }
+        p.advance_to(4);
         assert_eq!(p.metrics().completed_on_time, 1);
         // Service time plus at most one interference slot.
         let lat = p.metrics().latency.mean();
@@ -98,9 +98,7 @@ mod tests {
         let mut p = BlueVisorPlatform::new(4, 0);
         p.submit(job(1, 0, 40, 1000));
         p.submit(job(2, 0, 1, 10));
-        for _ in 0..50 {
-            p.step();
-        }
+        p.advance_to(50);
         assert_eq!(p.metrics().missed, 1);
         assert!(!p.metrics().trial_success());
     }
@@ -111,14 +109,13 @@ mod tests {
         use crate::rtxen::RtXenPlatform;
         let drive = |p: &mut dyn IoPlatform| {
             // Moderate periodic load: 8 tasks, period 40, wcet 4 → U = 0.8.
-            for t in 0..2000u64 {
-                if t % 40 == 0 {
-                    for i in 0..8 {
-                        p.submit(job(i, t, 4, t + 40));
-                    }
+            for t in (0..2000u64).step_by(40) {
+                p.advance_to(t);
+                for i in 0..8 {
+                    p.submit(job(i, t, 4, t + 40));
                 }
-                p.step();
             }
+            p.advance_to(2000);
         };
         let mut bv = BlueVisorPlatform::new(8, 7);
         drive(&mut bv);
@@ -137,9 +134,7 @@ mod tests {
             for i in 0..30 {
                 p.submit(job(i, 0, 2, 50));
             }
-            for _ in 0..200 {
-                p.step();
-            }
+            p.advance_to(200);
             (p.metrics().completed_on_time, p.metrics().missed)
         };
         assert_eq!(run(), run());

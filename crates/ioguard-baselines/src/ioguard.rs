@@ -112,8 +112,9 @@ impl IoPlatform for IoGuardPlatform {
         let _ = self.hypervisor.submit_with_payload(rt, job.response_bytes);
     }
 
-    fn step(&mut self) {
-        self.hypervisor.step();
+    fn advance_to(&mut self, slot: u64) {
+        self.hypervisor
+            .run(slot.saturating_sub(self.hypervisor.now()));
     }
 
     fn now(&self) -> u64 {
@@ -162,9 +163,7 @@ mod tests {
         let mut p = IoGuardPlatform::new(1, vec![], GschedPolicy::GlobalEdf).unwrap();
         p.submit(job(0, 1, 0, 40, 1000));
         p.submit(job(0, 2, 0, 1, 10));
-        for _ in 0..50 {
-            p.step();
-        }
+        p.advance_to(50);
         assert_eq!(p.metrics().missed, 0, "{:?}", p.metrics());
         assert_eq!(p.metrics().completed_on_time, 2);
     }
@@ -176,9 +175,7 @@ mod tests {
             .with_name("I/O-GUARD-40");
         let mut p = p40;
         assert_eq!(p.name(), "I/O-GUARD-40");
-        for _ in 0..40 {
-            p.step();
-        }
+        p.advance_to(40);
         assert_eq!(p.metrics().completed_on_time, 10);
         assert_eq!(p.metrics().response_bytes, 10 * 128);
     }
@@ -188,9 +185,7 @@ mod tests {
         let mut p =
             IoGuardPlatform::new(1, vec![predefined(1, 2, 1)], GschedPolicy::GlobalEdf).unwrap();
         p.submit(job(0, 9, 0, 3, 100));
-        for _ in 0..10 {
-            p.step();
-        }
+        p.advance_to(10);
         // 5 P-channel completions + 1 run-time completion.
         assert_eq!(p.metrics().completed_on_time, 6);
         assert_eq!(p.metrics().missed, 0);
@@ -200,9 +195,7 @@ mod tests {
     fn misses_surface_in_platform_metrics() {
         let mut p = IoGuardPlatform::new(1, vec![], GschedPolicy::GlobalEdf).unwrap();
         p.submit(job(0, 1, 0, 10, 3)); // infeasible
-        for _ in 0..10 {
-            p.step();
-        }
+        p.advance_to(10);
         assert_eq!(p.metrics().missed, 1);
         assert_eq!(p.metrics().critical_missed, 1);
         assert!(!p.metrics().trial_success());
@@ -214,9 +207,7 @@ mod tests {
         let mut j = job(0, 1, 0, 10, 3);
         j.critical = false;
         p.submit(j);
-        for _ in 0..10 {
-            p.step();
-        }
+        p.advance_to(10);
         assert_eq!(p.metrics().missed, 1);
         assert_eq!(p.metrics().critical_missed, 0);
         assert!(p.metrics().trial_success());

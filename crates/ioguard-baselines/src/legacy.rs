@@ -6,12 +6,11 @@
 //! grows with the number of active cores (the Fig. 1 path). The device
 //! itself is the conventional deadline-unaware FIFO.
 
-use std::collections::BinaryHeap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::platform::{
-    job_jitter, FifoDevice, IoPlatform, PlatformJob, PlatformMetrics, DEFAULT_FIFO_CAPACITY,
+    deliver_and_serve, job_jitter, FifoDevice, InTransit, IoPlatform, PlatformJob, PlatformMetrics,
+    DEFAULT_FIFO_CAPACITY,
 };
 
 /// Router traversal: fixed hop latency plus a contention jitter whose span
@@ -27,7 +26,7 @@ const INTERFERENCE_PCT_PER_VM: u64 = 3;
 pub struct LegacyPlatform {
     device: FifoDevice,
     /// Jobs in flight across the NoC: (arrival slot, insertion seq, job).
-    in_transit: BinaryHeap<std::cmp::Reverse<(u64, u64, PlatformJob)>>,
+    in_transit: InTransit,
     seq: u64,
     vms: usize,
     seed: u64,
@@ -40,7 +39,7 @@ impl LegacyPlatform {
     pub fn new(vms: usize, seed: u64) -> Self {
         Self {
             device: FifoDevice::new(DEFAULT_FIFO_CAPACITY),
-            in_transit: BinaryHeap::new(),
+            in_transit: InTransit::new(),
             seq: 0,
             vms,
             seed,
@@ -73,18 +72,14 @@ impl IoPlatform for LegacyPlatform {
             .push(std::cmp::Reverse((arrival, self.seq, job)));
     }
 
-    fn step(&mut self) {
-        // Deliver every packet whose router traversal ends this slot.
-        while let Some(std::cmp::Reverse((arrival, _, _))) = self.in_transit.peek() {
-            if *arrival > self.now {
-                break;
-            }
-            let std::cmp::Reverse((_, _, job)) =
-                self.in_transit.pop().expect("peeked entry exists");
-            self.device.enqueue(job, &mut self.metrics);
-        }
-        self.device.step(self.now, &mut self.metrics);
-        self.now += 1;
+    fn advance_to(&mut self, slot: u64) {
+        self.now = deliver_and_serve(
+            &mut self.in_transit,
+            &mut self.device,
+            &mut self.metrics,
+            self.now,
+            slot,
+        );
     }
 
     fn now(&self) -> u64 {
@@ -108,9 +103,7 @@ mod tests {
     fn light_load_completes() {
         let mut p = LegacyPlatform::new(4, 1);
         p.submit(job(1, 0, 2, 100));
-        for _ in 0..30 {
-            p.step();
-        }
+        p.advance_to(30);
         assert_eq!(p.metrics().completed_on_time, 1);
         assert!(p.metrics().trial_success());
         // Latency includes the NoC traversal.
@@ -137,9 +130,7 @@ mod tests {
         for i in 0..20 {
             p.submit(job(i, 0, 1, 3));
         }
-        for _ in 0..100 {
-            p.step();
-        }
+        p.advance_to(100);
         assert!(p.metrics().missed > 0, "{:?}", p.metrics());
     }
 
@@ -150,9 +141,7 @@ mod tests {
             for i in 0..50 {
                 p.submit(job(i, 0, 1 + i % 3, 40));
             }
-            for _ in 0..300 {
-                p.step();
-            }
+            p.advance_to(300);
             (
                 p.metrics().completed_on_time,
                 p.metrics().missed,

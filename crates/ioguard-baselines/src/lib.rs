@@ -31,9 +31,7 @@
 //!
 //! let mut bv = BlueVisorPlatform::new(4, 7);
 //! bv.submit(PlatformJob::new(0, 1, 0, 2, 100, 64, true));
-//! for _ in 0..10 {
-//!     bv.step();
-//! }
+//! bv.advance_to(10);
 //! assert_eq!(bv.metrics().completed_on_time, 1);
 //! ```
 

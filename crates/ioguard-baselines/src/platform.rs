@@ -1,6 +1,7 @@
 //! The common platform interface and the shared FIFO device model.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
@@ -89,8 +90,11 @@ pub trait IoPlatform {
     /// hardware would.
     fn submit(&mut self, job: PlatformJob);
 
-    /// Advances one time slot.
-    fn step(&mut self);
+    /// Runs every slot in `[now(), slot)`, after which `now() == slot`; a
+    /// target at or before `now()` does nothing. Advancing to `now() + 1`
+    /// runs exactly one slot, and any split of a span into targets gives
+    /// the same state and metrics.
+    fn advance_to(&mut self, slot: u64);
 
     /// Current slot.
     fn now(&self) -> u64;
@@ -145,32 +149,40 @@ impl FifoDevice {
         self.queue.push_back(job);
     }
 
-    /// Services one slot; `now` is the slot being executed (completion time
-    /// is `now + 1`). Updates `metrics` on completion.
-    pub fn step(&mut self, now: u64, metrics: &mut PlatformMetrics) {
-        if self.in_service.is_none() {
-            if let Some(job) = self.queue.pop_front() {
-                let wcet = job.wcet.max(1);
-                self.in_service = Some((job, wcet));
+    /// Services the slots `[now, to)`: the head job starts in the first
+    /// slot the device is idle and runs to completion, one slot of service
+    /// per slot. Costs O(jobs started or completed), not O(slots). Updates
+    /// `metrics` on every completion.
+    pub fn advance(&mut self, mut now: u64, to: u64, metrics: &mut PlatformMetrics) {
+        while now < to {
+            let (job, remaining) = match self.in_service.take() {
+                Some(serving) => serving,
+                None => match self.queue.pop_front() {
+                    Some(job) => (job, job.wcet.max(1)),
+                    None => return,
+                },
+            };
+            let served = remaining.min(to - now);
+            now += served;
+            if served < remaining {
+                self.in_service = Some((job, remaining - served));
+            } else {
+                Self::complete(&job, now, metrics);
             }
         }
-        if let Some((job, remaining)) = self.in_service.take() {
-            let remaining = remaining - 1;
-            if remaining == 0 {
-                let finish = now + 1;
-                metrics.latency.push((finish - job.release) as f64);
-                metrics.response_bytes += job.response_bytes as u64;
-                if finish <= job.deadline {
-                    metrics.completed_on_time += 1;
-                    metrics.on_time_bytes += job.response_bytes as u64;
-                } else {
-                    metrics.completed_late += 1;
-                    metrics.missed += 1;
-                    metrics.critical_missed += u64::from(job.critical);
-                }
-            } else {
-                self.in_service = Some((job, remaining));
-            }
+    }
+
+    /// Accounts a job that finished at slot boundary `finish`.
+    fn complete(job: &PlatformJob, finish: u64, metrics: &mut PlatformMetrics) {
+        metrics.latency.push((finish - job.release) as f64);
+        metrics.response_bytes += job.response_bytes as u64;
+        if finish <= job.deadline {
+            metrics.completed_on_time += 1;
+            metrics.on_time_bytes += job.response_bytes as u64;
+        } else {
+            metrics.completed_late += 1;
+            metrics.missed += 1;
+            metrics.critical_missed += u64::from(job.critical);
         }
     }
 
@@ -189,6 +201,39 @@ impl FifoDevice {
         let queued: u64 = self.queue.iter().map(|j| j.wcet).sum();
         queued + self.in_service.as_ref().map_or(0, |(_, r)| *r)
     }
+}
+
+/// Jobs in flight towards a [`FifoDevice`], keyed `(arrival slot, insertion
+/// sequence)` so same-slot arrivals reach the device in submission order.
+pub(crate) type InTransit = BinaryHeap<Reverse<(u64, u64, PlatformJob)>>;
+
+/// Runs the slots `[now, to)` of a FIFO device fed by delayed arrivals and
+/// returns the new current slot (`now` when `to <= now`). Arrivals due at
+/// slot `a` are enqueued before the device serves slot `a`, so every
+/// overflow check sees the queue a slot-by-slot run would; between
+/// arrivals the device serves whole stretches.
+pub(crate) fn deliver_and_serve(
+    in_transit: &mut InTransit,
+    device: &mut FifoDevice,
+    metrics: &mut PlatformMetrics,
+    mut now: u64,
+    to: u64,
+) -> u64 {
+    while now < to {
+        while let Some(&Reverse((arrival, _, job))) = in_transit.peek() {
+            if arrival > now {
+                break;
+            }
+            in_transit.pop();
+            device.enqueue(job, metrics);
+        }
+        let next = in_transit
+            .peek()
+            .map_or(to, |&Reverse((arrival, _, _))| arrival.min(to));
+        device.advance(now, next, metrics);
+        now = next;
+    }
+    now
 }
 
 /// Deterministic per-job jitter in `[0, span)`, derived from the ids — the
@@ -222,10 +267,9 @@ mod tests {
         let mut m = PlatformMetrics::default();
         dev.enqueue(job(1, 0, 2, 100), &mut m);
         dev.enqueue(job(2, 0, 1, 100), &mut m);
-        dev.step(0, &mut m);
-        dev.step(1, &mut m); // job 1 completes at t=2
+        dev.advance(0, 2, &mut m); // job 1 completes at t=2
         assert_eq!(m.completed_on_time, 1);
-        dev.step(2, &mut m); // job 2 completes at t=3
+        dev.advance(2, 3, &mut m); // job 2 completes at t=3
         assert_eq!(m.completed_on_time, 2);
         assert_eq!(m.latency.max(), Some(3.0));
     }
@@ -238,9 +282,7 @@ mod tests {
         let mut m = PlatformMetrics::default();
         dev.enqueue(job(1, 0, 50, 1000), &mut m); // long, lax
         dev.enqueue(job(2, 0, 2, 5), &mut m); // short, tight
-        for t in 0..60 {
-            dev.step(t, &mut m);
-        }
+        dev.advance(0, 60, &mut m);
         assert_eq!(m.completed_on_time, 1); // only the long one
         assert_eq!(m.completed_late, 1);
         assert_eq!(m.missed, 1);
@@ -253,9 +295,7 @@ mod tests {
         let mut dev = FifoDevice::new(8);
         let mut m = PlatformMetrics::default();
         dev.enqueue(job(1, 0, 4, 2), &mut m); // can never make it
-        for t in 0..4 {
-            dev.step(t, &mut m);
-        }
+        dev.advance(0, 4, &mut m);
         assert_eq!(m.completed_late, 1);
         assert_eq!(m.response_bytes, 64, "late transfer still moves data");
     }
@@ -280,9 +320,7 @@ mod tests {
         let mut j = job(1, 0, 4, 2);
         j.critical = false;
         dev.enqueue(j, &mut m);
-        for t in 0..4 {
-            dev.step(t, &mut m);
-        }
+        dev.advance(0, 4, &mut m);
         assert_eq!(m.missed, 1);
         assert_eq!(m.critical_missed, 0);
         assert!(m.trial_success());
@@ -295,18 +333,22 @@ mod tests {
         dev.enqueue(job(1, 0, 3, 100), &mut m);
         dev.enqueue(job(2, 0, 2, 100), &mut m);
         assert_eq!(dev.backlog_slots(), 5);
-        dev.step(0, &mut m);
+        dev.advance(0, 1, &mut m);
         assert!(dev.busy());
         assert_eq!(dev.backlog_slots(), 4);
+        // A stretch ending mid-job keeps the remainder in service.
+        dev.advance(1, 4, &mut m);
+        assert!(dev.busy());
+        assert_eq!(dev.backlog_slots(), 1);
+        assert_eq!(m.completed_on_time, 1);
     }
 
     #[test]
     fn idle_device_steps_are_noops() {
         let mut dev = FifoDevice::new(2);
         let mut m = PlatformMetrics::default();
-        for t in 0..10 {
-            dev.step(t, &mut m);
-        }
+        dev.advance(0, 10, &mut m);
+        dev.advance(10, 10, &mut m);
         assert_eq!(m, PlatformMetrics::default());
         assert!(!dev.busy());
     }

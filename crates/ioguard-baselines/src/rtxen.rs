@@ -8,12 +8,11 @@
 //! software path overhead and coarse scheduling quanta — are what the
 //! paper's Obs. 1/3/4 attribute RT-Xen's losses to.
 
-use std::collections::BinaryHeap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::platform::{
-    job_jitter, FifoDevice, IoPlatform, PlatformJob, PlatformMetrics, DEFAULT_FIFO_CAPACITY,
+    deliver_and_serve, job_jitter, FifoDevice, InTransit, IoPlatform, PlatformJob, PlatformMetrics,
+    DEFAULT_FIFO_CAPACITY,
 };
 
 /// Probability (percent) that the software path (trap + copy + dispatch)
@@ -34,7 +33,7 @@ const VMM_QUANTUM_PER_VM_SLOTS: u64 = 1;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RtXenPlatform {
     device: FifoDevice,
-    in_vmm: BinaryHeap<std::cmp::Reverse<(u64, u64, PlatformJob)>>,
+    in_vmm: InTransit,
     seq: u64,
     vms: usize,
     seed: u64,
@@ -47,7 +46,7 @@ impl RtXenPlatform {
     pub fn new(vms: usize, seed: u64) -> Self {
         Self {
             device: FifoDevice::new(DEFAULT_FIFO_CAPACITY),
-            in_vmm: BinaryHeap::new(),
+            in_vmm: InTransit::new(),
             seq: 0,
             vms,
             seed,
@@ -89,16 +88,14 @@ impl IoPlatform for RtXenPlatform {
             .push(std::cmp::Reverse((arrival, self.seq, backend_job)));
     }
 
-    fn step(&mut self) {
-        while let Some(std::cmp::Reverse((arrival, _, _))) = self.in_vmm.peek() {
-            if *arrival > self.now {
-                break;
-            }
-            let std::cmp::Reverse((_, _, job)) = self.in_vmm.pop().expect("peeked entry");
-            self.device.enqueue(job, &mut self.metrics);
-        }
-        self.device.step(self.now, &mut self.metrics);
-        self.now += 1;
+    fn advance_to(&mut self, slot: u64) {
+        self.now = deliver_and_serve(
+            &mut self.in_vmm,
+            &mut self.device,
+            &mut self.metrics,
+            self.now,
+            slot,
+        );
     }
 
     fn now(&self) -> u64 {
@@ -135,9 +132,7 @@ mod tests {
     fn light_load_still_completes() {
         let mut p = RtXenPlatform::new(4, 1);
         p.submit(job(1, 0, 2, 100));
-        for _ in 0..40 {
-            p.step();
-        }
+        p.advance_to(40);
         assert_eq!(p.metrics().completed_on_time, 1);
     }
 
@@ -147,9 +142,7 @@ mod tests {
         for i in 0..10 {
             p.submit(job(i, 0, 2, 1000));
         }
-        for _ in 0..200 {
-            p.step();
-        }
+        p.advance_to(200);
         // Raw service would be 2 slots; software path makes it ≥ 4 plus
         // queueing.
         assert!(p.metrics().latency.mean() >= 4.0, "{:?}", p.metrics());
@@ -171,9 +164,7 @@ mod tests {
                 }
                 dev.enqueue(j, &mut m);
             }
-            for t in 0..250 {
-                dev.step(t, &mut m);
-            }
+            dev.advance(0, 250, &mut m);
             m.missed
         };
         assert_eq!(run(false), 0);
@@ -197,9 +188,7 @@ mod tests {
             for i in 0..60 {
                 p.submit(job(i, 0, 1 + i % 4, 60));
             }
-            for _ in 0..500 {
-                p.step();
-            }
+            p.advance_to(500);
             (p.metrics().completed_on_time, p.metrics().missed)
         };
         assert_eq!(run(), run());

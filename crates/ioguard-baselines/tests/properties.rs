@@ -1,5 +1,7 @@
 //! Property-based tests for the baseline platform models.
 
+use std::collections::VecDeque;
+
 use proptest::prelude::*;
 
 use ioguard_baselines::bluevisor::BlueVisorPlatform;
@@ -14,37 +16,155 @@ fn arb_jobs() -> impl Strategy<Value = Vec<(u64, u64, u64, bool)>> {
     prop::collection::vec((0u64..6, 1u64..8, 0u64..80, any::<bool>()), 1..40)
 }
 
+/// Submits `jobs` (release gap, wcet, deadline headroom, critical) with
+/// ids 1, 2, …, each at the previous release plus its gap, and runs on to
+/// `max(last release, 2000) + 1`. Returns the number of jobs offered.
 fn drive(platform: &mut dyn IoPlatform, jobs: &[(u64, u64, u64, bool)]) -> u64 {
-    let mut offered = 0u64;
-    let mut job_id = 0u64;
-    let mut queue = jobs.iter();
-    let mut next = queue.next();
-    let mut t_release = 0u64;
-    for _ in 0..4_000u64 {
-        while let Some(&(gap, wcet, headroom, critical)) = next {
-            if platform.now() < t_release + gap {
-                break;
-            }
-            t_release = platform.now();
-            job_id += 1;
-            offered += 1;
-            platform.submit(PlatformJob::new(
-                (job_id % 2) as usize,
-                job_id,
-                platform.now(),
-                wcet,
-                platform.now() + wcet + headroom,
-                64,
-                critical,
-            ));
-            next = queue.next();
-        }
-        platform.step();
-        if next.is_none() && platform.now() > 2_000 {
-            break;
+    let mut release = 0u64;
+    for (job_id, &(gap, wcet, headroom, critical)) in (1u64..).zip(jobs) {
+        release += gap;
+        platform.advance_to(release);
+        platform.submit(PlatformJob::new(
+            (job_id % 2) as usize,
+            job_id,
+            release,
+            wcet,
+            release + wcet + headroom,
+            64,
+            critical,
+        ));
+    }
+    platform.advance_to(release.max(2_000) + 1);
+    jobs.len() as u64
+}
+
+/// The per-slot FIFO device: one call serves one slot. `FifoDevice::advance`
+/// serves whole stretches and must match this model slot for slot.
+struct ReferenceFifo {
+    queue: VecDeque<PlatformJob>,
+    capacity: usize,
+    in_service: Option<(PlatformJob, u64)>,
+}
+
+impl ReferenceFifo {
+    fn new(capacity: usize) -> Self {
+        Self {
+            queue: VecDeque::new(),
+            capacity,
+            in_service: None,
         }
     }
-    offered
+
+    fn enqueue(&mut self, job: PlatformJob, metrics: &mut PlatformMetrics) {
+        if self.queue.len() >= self.capacity {
+            metrics.dropped += 1;
+            metrics.missed += 1;
+            metrics.critical_missed += u64::from(job.critical);
+            return;
+        }
+        self.queue.push_back(job);
+    }
+
+    fn step(&mut self, now: u64, metrics: &mut PlatformMetrics) {
+        if self.in_service.is_none() {
+            if let Some(job) = self.queue.pop_front() {
+                let wcet = job.wcet.max(1);
+                self.in_service = Some((job, wcet));
+            }
+        }
+        if let Some((job, remaining)) = self.in_service.take() {
+            let remaining = remaining - 1;
+            if remaining == 0 {
+                let finish = now + 1;
+                metrics.latency.push((finish - job.release) as f64);
+                metrics.response_bytes += job.response_bytes as u64;
+                if finish <= job.deadline {
+                    metrics.completed_on_time += 1;
+                    metrics.on_time_bytes += job.response_bytes as u64;
+                } else {
+                    metrics.completed_late += 1;
+                    metrics.missed += 1;
+                    metrics.critical_missed += u64::from(job.critical);
+                }
+            } else {
+                self.in_service = Some((job, remaining));
+            }
+        }
+    }
+
+    fn backlog_slots(&self) -> u64 {
+        let queued: u64 = self.queue.iter().map(|j| j.wcet).sum();
+        queued + self.in_service.as_ref().map_or(0, |(_, r)| *r)
+    }
+}
+
+/// Metrics equality with the latency statistics compared bit for bit
+/// (`OnlineStats` equality is `f64 ==`, which also holds for `-0.0 == 0.0`).
+fn assert_metrics_bit_equal(a: &PlatformMetrics, b: &PlatformMetrics) {
+    assert_eq!(a, b);
+    let bits = |m: &PlatformMetrics| {
+        (
+            m.latency.count(),
+            m.latency.mean().to_bits(),
+            m.latency.population_variance().to_bits(),
+            m.latency.min().map(f64::to_bits),
+            m.latency.max().map(f64::to_bits),
+        )
+    };
+    assert_eq!(bits(a), bits(b));
+}
+
+/// A random platform workload: bursts of jobs submitted at increasing
+/// slots, each burst followed by an `advance_to` target.
+/// `(slot gap, burst of (wcet, deadline headroom, critical), advance gap)`.
+type Bursts = Vec<(u64, Vec<(u64, u64, bool)>, u64)>;
+
+fn arb_bursts() -> impl Strategy<Value = Bursts> {
+    prop::collection::vec(
+        (
+            0u64..12,
+            prop::collection::vec((1u64..10, 0u64..60, any::<bool>()), 0..24),
+            0u64..40,
+        ),
+        1..30,
+    )
+}
+
+/// Drives `platform` through `bursts`: at each burst slot it advances to
+/// the slot, submits the burst, then advances `advance gap` slots further
+/// (so submissions and stretch ends fall anywhere), and finally runs 400
+/// slots past the last target. `per_slot` replaces every advance by one
+/// `advance_to(now + 1)` per slot.
+fn drive_bursts(platform: &mut dyn IoPlatform, bursts: &Bursts, per_slot: bool) {
+    let advance = |p: &mut dyn IoPlatform, to: u64| {
+        if per_slot {
+            while p.now() < to {
+                p.advance_to(p.now() + 1);
+            }
+        } else {
+            p.advance_to(to);
+        }
+    };
+    let mut job_id = 0u64;
+    for (gap, burst, after) in bursts {
+        let slot = platform.now() + gap;
+        advance(platform, slot);
+        for &(wcet, headroom, critical) in burst {
+            job_id += 1;
+            platform.submit(PlatformJob::new(
+                (job_id % 3) as usize,
+                job_id,
+                slot,
+                wcet,
+                slot + wcet + headroom,
+                32 + job_id as u32,
+                critical,
+            ));
+        }
+        advance(platform, slot + after);
+    }
+    let end = platform.now() + 400;
+    advance(platform, end);
 }
 
 /// Conservation over every platform: offered = completed + dropped +
@@ -83,7 +203,7 @@ proptest! {
         let mut completions: Vec<(u64, u64)> = Vec::new(); // (finish, id)
         let mut prev = 0u64;
         for t in 0..10_000u64 {
-            dev.step(t, &mut m);
+            dev.advance(t, t + 1, &mut m);
             let done = m.completed_on_time + m.completed_late;
             if done > prev {
                 prev = done;
@@ -165,5 +285,87 @@ proptest! {
         for mk in &mks {
             prop_assert_eq!(run(mk.as_ref()), run(mk.as_ref()));
         }
+    }
+
+    /// `FifoDevice::advance` over arbitrary stretches equals the per-slot
+    /// reference device: same metrics (latency statistics bit-equal), same
+    /// queue and backlog after every stretch, overflow drops included (the
+    /// capacity is small enough for bursts to overflow it).
+    #[test]
+    fn fifo_advance_matches_per_slot_reference(
+        ops in prop::collection::vec(
+            (prop::collection::vec((1u64..9, 0u64..30, any::<bool>()), 0..8), 0u64..25),
+            1..60,
+        ),
+        capacity in 1usize..8,
+    ) {
+        let mut dev = FifoDevice::new(capacity);
+        let mut reference = ReferenceFifo::new(capacity);
+        let (mut m, mut m_ref) = (PlatformMetrics::default(), PlatformMetrics::default());
+        let (mut now, mut job_id) = (0u64, 0u64);
+        for (burst, stretch) in &ops {
+            for &(wcet, headroom, critical) in burst {
+                job_id += 1;
+                let job = PlatformJob::new(0, job_id, now, wcet, now + wcet + headroom, 64, critical);
+                dev.enqueue(job, &mut m);
+                reference.enqueue(job, &mut m_ref);
+            }
+            dev.advance(now, now + stretch, &mut m);
+            for t in now..now + stretch {
+                reference.step(t, &mut m_ref);
+            }
+            now += stretch;
+            assert_metrics_bit_equal(&m, &m_ref);
+            prop_assert_eq!(dev.queued(), reference.queue.len());
+            prop_assert_eq!(dev.busy(), reference.in_service.is_some());
+            prop_assert_eq!(dev.backlog_slots(), reference.backlog_slots());
+        }
+    }
+
+    /// Every FIFO platform gives the same `now()` and metrics whether it is
+    /// advanced to arbitrary targets or one slot at a time. A one-slot
+    /// advance is the per-slot model (deliver the arrivals due this slot,
+    /// then serve one device slot), whose device half is checked against
+    /// the reference device above. 6 VMs widen the router and VMM delay
+    /// spans; bursts of up to 24 jobs overflow the 64-deep device queue
+    /// when they pile up.
+    #[test]
+    fn platform_advance_matches_per_slot_advance(bursts in arb_bursts(), seed in any::<u64>()) {
+        let mks: Vec<Box<dyn Fn() -> Box<dyn IoPlatform>>> = vec![
+            Box::new(move || Box::new(LegacyPlatform::new(6, seed))),
+            Box::new(move || Box::new(RtXenPlatform::new(6, seed))),
+            Box::new(move || Box::new(BlueVisorPlatform::new(6, seed))),
+        ];
+        for mk in &mks {
+            let mut fast = mk();
+            let mut slow = mk();
+            drive_bursts(fast.as_mut(), &bursts, false);
+            drive_bursts(slow.as_mut(), &bursts, true);
+            prop_assert_eq!(fast.now(), slow.now(), "{}", fast.name());
+            assert_metrics_bit_equal(&fast.metrics(), &slow.metrics());
+        }
+    }
+}
+
+/// The proptest above on a stream that certainly overflows every device
+/// queue: 40 bursts of 24 long jobs, 10 slots apart.
+#[test]
+fn platform_advance_matches_per_slot_advance_under_overflow() {
+    let bursts: Bursts = (0..40)
+        .map(|i| (10, vec![(7, 30, i % 2 == 0); 24], 3 + i % 7))
+        .collect();
+    let mks: Vec<Box<dyn Fn() -> Box<dyn IoPlatform>>> = vec![
+        Box::new(|| Box::new(LegacyPlatform::new(8, 11))),
+        Box::new(|| Box::new(RtXenPlatform::new(8, 11))),
+        Box::new(|| Box::new(BlueVisorPlatform::new(8, 11))),
+    ];
+    for mk in &mks {
+        let mut fast = mk();
+        let mut slow = mk();
+        drive_bursts(fast.as_mut(), &bursts, false);
+        drive_bursts(slow.as_mut(), &bursts, true);
+        assert_eq!(fast.now(), slow.now(), "{}", fast.name());
+        assert_metrics_bit_equal(&fast.metrics(), &slow.metrics());
+        assert!(fast.metrics().dropped > 0, "{}: no overflow", fast.name());
     }
 }

@@ -8,8 +8,6 @@
 //! repeats trials over seeds; the full *figure* sweeps systems ×
 //! utilizations × VM-group sizes.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -20,7 +18,7 @@ use crate::engine::{self, EngineStats};
 use ioguard_baselines::bluevisor::BlueVisorPlatform;
 use ioguard_baselines::ioguard::IoGuardPlatform;
 use ioguard_baselines::legacy::LegacyPlatform;
-use ioguard_baselines::platform::{IoPlatform, PlatformJob};
+use ioguard_baselines::platform::{IoPlatform, PlatformJob, PlatformMetrics};
 use ioguard_baselines::rtxen::RtXenPlatform;
 use ioguard_hypervisor::gsched::GschedPolicy;
 use ioguard_hypervisor::pchannel::PredefinedTask;
@@ -97,6 +95,71 @@ pub struct TrialOutcome {
     pub misses: u64,
 }
 
+/// The job releases of one trial, shared by every system that runs it.
+///
+/// Task `i` releases at `phases[i] + k·T_i` for every `k` that stays below
+/// the horizon. `order` lists the task index of each of those releases in
+/// `(release slot, task index)` order; the release slots themselves are
+/// recomputed during the walk, so a job costs four bytes here.
+#[derive(Debug)]
+struct ReleaseSchedule {
+    phases: Vec<u64>,
+    order: Vec<u32>,
+    horizon_slots: u64,
+}
+
+impl ReleaseSchedule {
+    /// Draws the per-task initial phases in `[0, T)` from `phase_seed`, in
+    /// task order, and sorts every release before `horizon_slots`.
+    fn new(workload: &TrialWorkload, phase_seed: u64, horizon_slots: u64) -> Self {
+        let tasks = workload.tasks();
+        let mut phase_rng = Xoshiro256StarStar::new(SplitMix64::new(phase_seed).derive(0xFA5E));
+        let phases: Vec<u64> = tasks
+            .iter()
+            .map(|t| phase_rng.range_u64(0, t.task.period()))
+            .collect();
+        // Each release sorts as one `u64` key `release << index_bits | index`,
+        // which orders exactly as the `(release, index)` pair.
+        let index_bits = u64::BITS - (tasks.len() as u64).leading_zeros();
+        assert!(
+            horizon_slots.leading_zeros() >= index_bits && index_bits <= u32::BITS,
+            "horizon and task count fit one sort key"
+        );
+        let jobs = tasks
+            .iter()
+            .zip(&phases)
+            .map(|(t, &phase)| {
+                horizon_slots
+                    .saturating_sub(phase)
+                    .div_ceil(t.task.period())
+            })
+            .sum::<u64>();
+        let mut keys: Vec<u64> = Vec::with_capacity(jobs as usize);
+        for (idx, (task, &phase)) in tasks.iter().zip(&phases).enumerate() {
+            let period = task.task.period() as usize;
+            keys.extend(
+                (phase..horizon_slots)
+                    .step_by(period)
+                    .map(|release| release << index_bits | idx as u64),
+            );
+        }
+        keys.sort_unstable();
+        let index_mask = (1u64 << index_bits) - 1;
+        Self {
+            phases,
+            order: keys.into_iter().map(|k| (k & index_mask) as u32).collect(),
+            horizon_slots,
+        }
+    }
+}
+
+/// A generated trial: its workload and release schedule, built once and
+/// shared by every system of a sweep.
+struct Trial {
+    workload: TrialWorkload,
+    schedule: ReleaseSchedule,
+}
+
 /// Runs one trial of `system` on `workload` for `horizon_slots`.
 ///
 /// Release phases are deterministic in `phase_seed`, and the same job
@@ -108,52 +171,48 @@ pub fn run_trial(
     phase_seed: u64,
     horizon_slots: u64,
 ) -> TrialOutcome {
+    let schedule = ReleaseSchedule::new(workload, phase_seed, horizon_slots);
+    run_scheduled(system, workload, &schedule, phase_seed)
+}
+
+/// [`run_trial`] on a prebuilt release schedule.
+fn run_scheduled(
+    system: SystemUnderTest,
+    workload: &TrialWorkload,
+    schedule: &ReleaseSchedule,
+    phase_seed: u64,
+) -> TrialOutcome {
     let vms = workload.config().vms;
-    // Deterministic per-task initial phases in [0, T).
-    let mut phase_rng = Xoshiro256StarStar::new(SplitMix64::new(phase_seed).derive(0xFA5E));
-    let phases: Vec<u64> = workload
-        .tasks()
-        .iter()
-        .map(|t| phase_rng.range_u64(0, t.task.period()))
-        .collect();
-
-    // Which tasks run from the P-channel (I/O-GUARD only)?
-    let (preload_names, policy) = match system {
-        SystemUnderTest::IoGuard { preload_pct } => {
-            let (pre, _) = workload.split_preload(preload_pct as f64 / 100.0);
-            (
-                pre.iter().map(|t| t.name.clone()).collect::<Vec<_>>(),
-                GschedPolicy::GlobalEdf,
-            )
-        }
-        SystemUnderTest::IoGuardServerIsolated { preload_pct } => {
-            let (pre, _) = workload.split_preload(preload_pct as f64 / 100.0);
-            // Equal-share servers over the expected free fraction: period
-            // 100 slots (the fastest task period), budget split evenly with
-            // a small safety margin.
-            let free = (1.0 - pre.iter().map(|t| t.task.utilization()).sum::<f64>()).max(0.05);
-            let budget = ((free * 100.0 / vms as f64).floor() as u64).max(1);
-            let servers = (0..vms)
-                .map(|_| {
-                    ioguard_sched::task::PeriodicServer::new(100, budget.min(100))
-                        .expect("1 ≤ budget ≤ 100")
-                })
-                .collect();
-            (
-                pre.iter().map(|t| t.name.clone()).collect::<Vec<_>>(),
-                GschedPolicy::ServerBased(servers),
-            )
-        }
-        _ => (Vec::new(), GschedPolicy::GlobalEdf),
-    };
-
-    let mut platform: Box<dyn IoPlatform> = match system {
-        SystemUnderTest::Legacy => Box::new(LegacyPlatform::new(vms, phase_seed)),
-        SystemUnderTest::RtXen => Box::new(RtXenPlatform::new(vms, phase_seed)),
-        SystemUnderTest::BlueVisor => Box::new(BlueVisorPlatform::new(vms, phase_seed)),
+    let preloaded = preloaded_tasks(system, workload);
+    let stream = JobStream::new(workload, schedule, phase_seed, &preloaded);
+    let metrics = match system {
+        SystemUnderTest::Legacy => stream.drive(LegacyPlatform::new(vms, phase_seed)),
+        SystemUnderTest::RtXen => stream.drive(RtXenPlatform::new(vms, phase_seed)),
+        SystemUnderTest::BlueVisor => stream.drive(BlueVisorPlatform::new(vms, phase_seed)),
         SystemUnderTest::IoGuard { .. } | SystemUnderTest::IoGuardServerIsolated { .. } => {
-            match build_ioguard(workload, &preload_names, policy, phase_seed) {
-                Ok(p) => Box::new(p),
+            let policy = match system {
+                SystemUnderTest::IoGuardServerIsolated { .. } => {
+                    // Equal-share servers over the expected free fraction:
+                    // period 100 slots (the fastest task period), budget
+                    // split evenly with a small safety margin.
+                    let preloaded_util: f64 = preloaded
+                        .iter()
+                        .map(|&idx| workload.tasks()[idx].task.utilization())
+                        .sum();
+                    let free = (1.0 - preloaded_util).max(0.05);
+                    let budget = ((free * 100.0 / vms as f64).floor() as u64).max(1);
+                    let servers = (0..vms)
+                        .map(|_| {
+                            ioguard_sched::task::PeriodicServer::new(100, budget.min(100))
+                                .expect("1 ≤ budget ≤ 100")
+                        })
+                        .collect();
+                    GschedPolicy::ServerBased(servers)
+                }
+                _ => GschedPolicy::GlobalEdf,
+            };
+            match build_ioguard(workload, &stream.preloaded, policy, phase_seed) {
+                Ok(platform) => stream.drive(platform),
                 Err(_) => {
                     // The P-channel cannot host this pre-load (overloaded
                     // sampled WCETs): the trial fails outright.
@@ -168,70 +227,117 @@ pub fn run_trial(
         }
     };
 
-    // Drive the periodic job stream. Pre-loaded tasks execute autonomously
-    // inside the P-channel. Releases are drawn from a calendar heap keyed
-    // `(release slot, task index)` rather than re-testing every task every
-    // slot: a slot with no release costs one heap peek, and within a slot
-    // releases pop in ascending task index — the same order the full scan
-    // produced, so job ids (and hence jitter draws) are unchanged.
-    let mut calendar: BinaryHeap<Reverse<(u64, usize)>> = workload
-        .tasks()
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !preload_names.contains(&t.name))
-        .map(|(idx, _)| Reverse((phases[idx], idx)))
-        .collect();
-    let mut next_job_id = 1u64;
-    for slot in 0..horizon_slots {
-        while let Some(&Reverse((release, idx))) = calendar.peek() {
-            if release > slot {
-                break;
-            }
-            calendar.pop();
-            let task = &workload.tasks()[idx];
-            // Per-job actual execution time (deterministic in the ids).
-            let frac = ACTUAL_EXEC_MIN
-                + (1.0 - ACTUAL_EXEC_MIN)
-                    * (ioguard_baselines::platform::job_jitter(
-                        phase_seed ^ 0xEC,
-                        next_job_id,
-                        slot,
-                        1024,
-                    ) as f64
-                        / 1024.0);
-            let actual = ((task.task.wcet() as f64 * frac).round() as u64).max(1);
-            platform.submit(PlatformJob::new(
-                task.vm,
-                next_job_id,
-                slot,
-                actual,
-                slot + task.task.deadline(),
-                task.response_bytes,
-                task.is_critical(),
-            ));
-            next_job_id += 1;
-            calendar.push(Reverse((release + task.task.period(), idx)));
-        }
-        platform.step();
-    }
-
-    let m = platform.metrics();
-    let sim_seconds = horizon_slots as f64 * SLOT_MICROS as f64 / 1e6;
+    let sim_seconds = schedule.horizon_slots as f64 * SLOT_MICROS as f64 / 1e6;
     TrialOutcome {
-        success: m.trial_success(),
-        throughput_mbps: m.on_time_bytes as f64 * 8.0 / sim_seconds / 1e6,
-        critical_misses: m.critical_missed,
-        misses: m.missed,
+        success: metrics.trial_success(),
+        throughput_mbps: metrics.on_time_bytes as f64 * 8.0 / sim_seconds / 1e6,
+        critical_misses: metrics.critical_missed,
+        misses: metrics.missed,
     }
 }
 
-/// Builds the I/O-GUARD platform for a workload, pre-loading the named
-/// tasks. An infeasible pre-load (the sampled WCETs overflow the table) is
-/// a construction error — the caller records the trial as failed, exactly
-/// as the real system would refuse the configuration at initialization.
+/// The tasks `system` runs from the P-channel, as indices in split order
+/// (none for the baselines).
+fn preloaded_tasks(system: SystemUnderTest, workload: &TrialWorkload) -> Vec<usize> {
+    match system {
+        SystemUnderTest::IoGuard { preload_pct }
+        | SystemUnderTest::IoGuardServerIsolated { preload_pct } => {
+            workload.split_preload_indices(preload_pct as f64 / 100.0).0
+        }
+        _ => Vec::new(),
+    }
+}
+
+/// The periodic job stream one system is offered in a trial.
+struct JobStream<'a> {
+    workload: &'a TrialWorkload,
+    schedule: &'a ReleaseSchedule,
+    phase_seed: u64,
+    /// Per task: runs from the P-channel, so it is never submitted.
+    preloaded: Vec<bool>,
+}
+
+impl<'a> JobStream<'a> {
+    fn new(
+        workload: &'a TrialWorkload,
+        schedule: &'a ReleaseSchedule,
+        phase_seed: u64,
+        preloaded_tasks: &[usize],
+    ) -> Self {
+        let mut preloaded = vec![false; workload.tasks().len()];
+        for &idx in preloaded_tasks {
+            preloaded[idx] = true;
+        }
+        Self {
+            workload,
+            schedule,
+            phase_seed,
+            preloaded,
+        }
+    }
+
+    /// Every submitted job with its task index, in schedule order.
+    /// Pre-loaded tasks execute autonomously inside the P-channel and are
+    /// skipped. Jobs are numbered 1, 2, … in this order; the ids seed the
+    /// per-job execution-time draw.
+    fn jobs(&self) -> impl Iterator<Item = (usize, PlatformJob)> + '_ {
+        let tasks = self.workload.tasks();
+        let mut next_release = self.schedule.phases.clone();
+        let mut job_id = 0u64;
+        self.schedule
+            .order
+            .iter()
+            .map(|&idx| idx as usize)
+            .filter(|&idx| !self.preloaded[idx])
+            .map(move |idx| {
+                let task = &tasks[idx];
+                let release = next_release[idx];
+                next_release[idx] += task.task.period();
+                job_id += 1;
+                // Per-job actual execution time (deterministic in the ids).
+                let frac = ACTUAL_EXEC_MIN
+                    + (1.0 - ACTUAL_EXEC_MIN)
+                        * (ioguard_baselines::platform::job_jitter(
+                            self.phase_seed ^ 0xEC,
+                            job_id,
+                            release,
+                            1024,
+                        ) as f64
+                            / 1024.0);
+                let actual = ((task.task.wcet() as f64 * frac).round() as u64).max(1);
+                let job = PlatformJob::new(
+                    task.vm,
+                    job_id,
+                    release,
+                    actual,
+                    release + task.task.deadline(),
+                    task.response_bytes,
+                    task.is_critical(),
+                );
+                (idx, job)
+            })
+    }
+
+    /// Submits every job, advancing `platform` to each release slot first
+    /// and to the horizon at the end; returns the final metrics.
+    fn drive<P: IoPlatform>(&self, mut platform: P) -> PlatformMetrics {
+        for (_, job) in self.jobs() {
+            platform.advance_to(job.release);
+            platform.submit(job);
+        }
+        platform.advance_to(self.schedule.horizon_slots);
+        platform.metrics()
+    }
+}
+
+/// Builds the I/O-GUARD platform for a workload, pre-loading the tasks
+/// flagged in `preloaded`. An infeasible pre-load (the sampled WCETs
+/// overflow the table) is a construction error — the caller records the
+/// trial as failed, exactly as the real system would refuse the
+/// configuration at initialization.
 fn build_ioguard(
     workload: &TrialWorkload,
-    preload_names: &[String],
+    preloaded: &[bool],
     policy: GschedPolicy,
     phase_seed: u64,
 ) -> Result<IoGuardPlatform, ioguard_hypervisor::HvError> {
@@ -240,7 +346,7 @@ fn build_ioguard(
         .tasks()
         .iter()
         .enumerate()
-        .filter(|(_, t)| preload_names.contains(&t.name))
+        .filter(|&(idx, _)| preloaded[idx])
         .map(|(idx, t)| PredefinedTask {
             task_id: idx as u64 + 1,
             vm: t.vm,
@@ -393,10 +499,11 @@ impl Fig7Report {
     ///
     /// Work is scheduled at *(system, trial)* granularity on the
     /// work-stealing engine, one `(vms, utilization)` group at a time. Each
-    /// group generates its trial workloads once and shares them (via `Arc`)
-    /// across all systems — the sequential path regenerates the identical
-    /// workload per system from the same `(vms, utilization, trial_seed)`
-    /// triple, so sharing changes nothing but the work done. Outcomes are
+    /// group generates its trial workloads and release schedules once and
+    /// shares them (via `Arc`) across all systems — the sequential path
+    /// regenerates the identical workload and schedule per system from the
+    /// same `(vms, utilization, trial_seed)` triple, so sharing changes
+    /// nothing but the work done. Outcomes are
     /// scattered back into `(system, trial)` order and aggregated in trial
     /// order, making the report bit-identical for every thread count.
     pub fn run_instrumented(config: &CaseStudyConfig, threads: usize) -> (Self, EngineStats) {
@@ -413,10 +520,13 @@ impl Fig7Report {
 
         for (gi, &vms) in config.vm_groups.iter().enumerate() {
             for (ui, &u) in config.utilizations.iter().enumerate() {
-                // One workload per trial, shared by every system.
-                let (workloads, gen_stats) =
+                // One workload and release schedule per trial, shared by
+                // every system.
+                let (generated, gen_stats) =
                     engine::run_indexed(threads, &trial_seeds, |_, &seed| {
-                        Arc::new(TrialWorkload::generate(&TrialConfig::new(vms, u, seed)))
+                        let workload = TrialWorkload::generate(&TrialConfig::new(vms, u, seed));
+                        let schedule = ReleaseSchedule::new(&workload, seed, config.horizon_slots);
+                        Arc::new(Trial { workload, schedule })
                     });
                 stats.absorb(&gen_stats);
 
@@ -424,11 +534,12 @@ impl Fig7Report {
                     .flat_map(|si| (0..trials).map(move |ti| (si, ti)))
                     .collect();
                 let (outcomes, run_stats) = engine::run_indexed(threads, &units, |_, &(si, ti)| {
-                    run_trial(
+                    let trial = &generated[ti];
+                    run_scheduled(
                         config.systems[si],
-                        &workloads[ti],
+                        &trial.workload,
+                        &trial.schedule,
                         trial_seeds[ti],
-                        config.horizon_slots,
                     )
                 });
                 stats.absorb(&run_stats);
@@ -609,13 +720,40 @@ mod tests {
 
     #[test]
     fn identical_input_offered_to_all_systems() {
-        // The same workload + phase seed yields the same job stream; verify
-        // via equal *offered* load accounting: run two FIFO-family systems
-        // and compare total jobs seen (completed + missed + queued tail).
+        // The paper's "identical data input": the FIFO baselines are offered
+        // one job stream, and each I/O-GUARD configuration that stream minus
+        // its pre-loaded tasks — the same `(release, task)` pairs in the
+        // same order.
         let workload = TrialWorkload::generate(&TrialConfig::new(4, 0.5, 99));
-        let a = run_trial(SystemUnderTest::BlueVisor, &workload, 99, 4000);
-        let b = run_trial(SystemUnderTest::BlueVisor, &workload, 99, 4000);
-        assert_eq!(a, b);
+        let schedule = ReleaseSchedule::new(&workload, 99, 4000);
+        let offered = |system| {
+            let preloaded = preloaded_tasks(system, &workload);
+            JobStream::new(&workload, &schedule, 99, &preloaded)
+                .jobs()
+                .map(|(idx, job)| (job.release, idx))
+                .collect::<Vec<_>>()
+        };
+        let baseline = offered(SystemUnderTest::Legacy);
+        assert_eq!(baseline.len(), schedule.order.len());
+        assert_eq!(offered(SystemUnderTest::RtXen), baseline);
+        assert_eq!(offered(SystemUnderTest::BlueVisor), baseline);
+        for pct in [40, 70] {
+            let (pre, _) = workload.split_preload_indices(pct as f64 / 100.0);
+            let expected: Vec<(u64, usize)> = baseline
+                .iter()
+                .copied()
+                .filter(|(_, idx)| !pre.contains(idx))
+                .collect();
+            assert!(!pre.is_empty() && expected.len() < baseline.len());
+            for system in [
+                SystemUnderTest::IoGuard { preload_pct: pct },
+                SystemUnderTest::IoGuardServerIsolated { preload_pct: pct },
+            ] {
+                assert_eq!(offered(system), expected, "{}", system.label());
+            }
+        }
+        // The stream is every release in `(release, task)` order.
+        assert!(baseline.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

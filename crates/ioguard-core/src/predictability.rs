@@ -141,7 +141,9 @@ pub fn latency_profile(system: SystemUnderTest, config: &PredictabilityConfig) -
                 id += 1;
             }
         }
-        platform.step();
+        // One slot at a time: the probe attribution below reads the
+        // metrics after every slot.
+        platform.advance_to(slot + 1);
         let m = platform.metrics();
         if m.response_bytes - prev_bytes == PROBE_BYTES {
             if let Some(rel) = outstanding.pop_front() {

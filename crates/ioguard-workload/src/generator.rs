@@ -196,17 +196,27 @@ impl TrialWorkload {
     /// the heaviest tail — matching the paper's "x% of I/O tasks were
     /// executed by the P channel".
     pub fn split_preload(&self, preload_fraction: f64) -> (Vec<&TrialTask>, Vec<&TrialTask>) {
+        let (pre, run) = self.split_preload_indices(preload_fraction);
+        let pick = |indices: Vec<usize>| indices.into_iter().map(|i| &self.tasks[i]).collect();
+        (pick(pre), pick(run))
+    }
+
+    /// [`TrialWorkload::split_preload`] as indices into
+    /// [`TrialWorkload::tasks`], each group in the same order.
+    pub fn split_preload_indices(&self, preload_fraction: f64) -> (Vec<usize>, Vec<usize>) {
         assert!(
             (0.0..=1.0).contains(&preload_fraction),
             "fraction in [0, 1]"
         );
-        let mut order: Vec<&TrialTask> = self.tasks.iter().collect();
-        order.sort_by(|a, b| {
-            b.task
+        let tasks = &self.tasks;
+        let mut order: Vec<usize> = (0..tasks.len()).collect();
+        order.sort_by(|&a, &b| {
+            tasks[b]
+                .task
                 .utilization()
-                .partial_cmp(&a.task.utilization())
+                .partial_cmp(&tasks[a].task.utilization())
                 .expect("utilizations are finite")
-                .then_with(|| a.name.cmp(&b.name))
+                .then_with(|| tasks[a].name.cmp(&tasks[b].name))
         });
         let n = order.len();
         let cut = (n as f64 * preload_fraction).round() as usize;

@@ -109,15 +109,14 @@ fn preemption_beats_fifo_on_adversarial_pattern() {
 
     let drive = |p: &mut dyn IoPlatform| {
         // Every 100 slots: one long lax transfer then a burst of tight ones.
-        for t in 0..5_000u64 {
-            if t % 100 == 0 {
-                p.submit(PlatformJob::new(0, t * 10 + 1, t, 40, t + 400, 512, true));
-                for k in 0..4 {
-                    p.submit(PlatformJob::new(1, t * 10 + 2 + k, t, 2, t + 20, 64, true));
-                }
+        for t in (0..5_000u64).step_by(100) {
+            p.advance_to(t);
+            p.submit(PlatformJob::new(0, t * 10 + 1, t, 40, t + 400, 512, true));
+            for k in 0..4 {
+                p.submit(PlatformJob::new(1, t * 10 + 2 + k, t, 2, t + 20, 64, true));
             }
-            p.step();
         }
+        p.advance_to(5_000);
     };
     let mut fifo = BlueVisorPlatform::new(2, 0);
     drive(&mut fifo);

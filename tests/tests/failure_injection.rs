@@ -84,9 +84,7 @@ fn fifo_overflow_drops_are_visible() {
     for i in 0..200 {
         bv.submit(PlatformJob::new(0, i, 0, 2, 10_000, 64, true));
     }
-    for _ in 0..1_000 {
-        bv.step();
-    }
+    bv.advance_to(1_000);
     let m = bv.metrics();
     assert!(m.dropped > 0, "{m:?}");
     assert_eq!(m.dropped + m.completed_on_time + m.completed_late, 200);

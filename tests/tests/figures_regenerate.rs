@@ -7,6 +7,7 @@ use ioguard_core::experiments::{fig6_report, fig8_report, table1_report};
 use ioguard_hw::blocks::HypervisorConfig;
 use ioguard_hw::reference;
 use ioguard_hw::scale::fig8_sweep;
+use ioguard_obs::export::fnv1a;
 
 #[test]
 fn table1_proposed_row_lands_on_paper_values() {
@@ -144,4 +145,28 @@ fn fig7_report_covers_requested_grid() {
     let rendered = format!("{report}");
     assert!(rendered.contains("4-VM group"));
     assert!(table1_report().contains("Proposed")); // cross-module smoke
+}
+
+/// Pins the Fig. 7 tables: a reduced paper-shape sweep (2 trials, three
+/// utilizations, both VM groups, all five systems) renders to the same
+/// bytes at 1 and 2 workers, and those bytes hash to fixed digests. A
+/// change to the trial engine, a platform model or the workload generator
+/// that moves any cell fails here.
+#[test]
+fn fig7_tables_are_pinned() {
+    let mut config = CaseStudyConfig::paper_shape(2);
+    config.utilizations = vec![0.40, 0.70, 1.00];
+    for threads in [1, 2] {
+        let report = Fig7Report::run_with_threads(&config, threads);
+        assert_eq!(
+            fnv1a(&report.to_string()),
+            0x9edd_5faa_080f_a61b,
+            "Display digest at {threads} workers:\n{report}"
+        );
+        assert_eq!(
+            fnv1a(&report.to_csv()),
+            0x27e0_4a59_e9a3_a8f2,
+            "CSV digest at {threads} workers"
+        );
+    }
 }
