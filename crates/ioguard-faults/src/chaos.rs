@@ -133,9 +133,7 @@ impl ChaosScenario {
             .with_degradation(DegradationPolicy {
                 healthy_slots_to_recover: 32,
             });
-        let mut hv = Hypervisor::new(params)?;
-        hv.enable_trace(512);
-        Ok(hv)
+        Hypervisor::new(params)
     }
 
     /// Builds the scenario's response-traffic mesh.

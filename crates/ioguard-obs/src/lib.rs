@@ -5,8 +5,9 @@
 //! did through one machine-checkable surface. This crate is that surface:
 //!
 //! * [`event`] — one typed event model ([`ObsKind`]/[`ObsEvent`]) shared by
-//!   the hypervisor, the NoC, the fault harness and the experiment engine:
-//!   request admitted, G-Sched/L-Sched decision, slot dispatch, NoC
+//!   the hypervisor (its only event stream), the NoC, the fault harness,
+//!   the reconfiguration protocol and the serving front-end: request
+//!   admitted, G-Sched/L-Sched decision, slot dispatch, NoC
 //!   inject/deliver, fault, retry, mode change, deadline met/missed.
 //! * [`sink`] — [`TraceSink`], a zero-allocation fixed-capacity ring buffer
 //!   of events with monotonic sequence numbers and a canonical text
@@ -18,8 +19,6 @@
 //!   per-VM counter registry (absorbed from the hypervisor's old
 //!   `VmMetrics`), plus the event-stream fold that must reproduce the live
 //!   registry exactly — the metrics/trace cross-check.
-//! * [`span`] — lightweight profiling spans ([`Profiler`]), feature-gated
-//!   (`profiling`) so the default build compiles the hooks to no-ops.
 //! * [`export`] — hand-formatted JSON helpers for the `trace-export` bin
 //!   (`OBS_snapshot.json`), formatted by hand because the workspace has no
 //!   JSON serializer dependency.
@@ -27,10 +26,9 @@
 //!   and latency histograms, the scrape surface of the `ioguard-serve`
 //!   front-end.
 //!
-//! Everything here is deterministic by construction (no wall clocks outside
-//! the gated `profiling` feature, no hash-ordered containers), so traces
-//! and histograms can be pinned as goldens and replayed bit-identically at
-//! any engine thread count.
+//! Everything here is deterministic by construction (no wall clocks, no
+//! hash-ordered containers), so traces and histograms can be pinned as
+//! goldens and replayed bit-identically at any engine thread count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,10 +39,8 @@ pub mod export;
 pub mod hist;
 pub mod prom;
 pub mod sink;
-pub mod span;
 
 pub use counters::{CounterRegistry, VmCounters};
 pub use event::{ObsEvent, ObsKind, SYSTEM_VM};
 pub use hist::Histogram;
 pub use sink::TraceSink;
-pub use span::{Profiler, SpanStamp};
