@@ -47,13 +47,21 @@ struct TaskState {
     future: Pin<Box<dyn Future<Output = ()>>>,
     flag: Arc<WakeFlag>,
     waker: Waker,
+    /// Set for the tasks a scheduling round polls: the woken flags are
+    /// all taken before the round polls any task, so a wake raised
+    /// during the round runs in the next one.
+    runnable: bool,
 }
 
 #[derive(Default)]
 struct ClockInner {
     now_slot: Cell<u64>,
-    /// slot → wakers armed for it; wakers fire in arming order.
-    timers: RefCell<BTreeMap<u64, Vec<Waker>>>,
+    /// `(slot, arming seq)` → waker: the wakers of one slot fire in
+    /// arming order. Keyed per waker rather than per slot, so a slot's
+    /// wakers need no list of their own.
+    timers: RefCell<BTreeMap<(u64, u64), Waker>>,
+    /// Timers armed so far (the next timer's `seq`).
+    armed: Cell<u64>,
 }
 
 /// Cloneable handle to the executor's virtual clock.
@@ -77,17 +85,20 @@ impl VirtualClock {
     }
 
     fn arm(&self, slot: u64, waker: Waker) {
-        self.inner
-            .timers
-            .borrow_mut()
-            .entry(slot)
-            .or_default()
-            .push(waker);
+        let seq = self.inner.armed.get();
+        self.inner.armed.set(seq.wrapping_add(1));
+        self.inner.timers.borrow_mut().insert((slot, seq), waker);
     }
 
-    /// Pops the earliest armed timer at or after the current slot.
-    fn pop_next_timer(&self) -> Option<(u64, Vec<Waker>)> {
-        self.inner.timers.borrow_mut().pop_first()
+    /// Pops every timer armed for the earliest armed slot into `due`,
+    /// in arming order, and returns that slot.
+    fn pop_next_timers(&self, due: &mut Vec<Waker>) -> Option<u64> {
+        let mut timers = self.inner.timers.borrow_mut();
+        let (&(slot, _), _) = timers.first_key_value()?;
+        while let Some(entry) = timers.first_entry().filter(|e| e.key().0 == slot) {
+            due.push(entry.remove());
+        }
+        Some(slot)
     }
 
     fn jump_to(&self, slot: u64) {
@@ -236,8 +247,10 @@ pub struct ExecutorStats {
 
 /// Single-threaded cooperative executor over a [`VirtualClock`].
 pub struct Executor {
-    tasks: BTreeMap<u64, TaskState>,
-    next_id: u64,
+    /// Tasks by id (= spawn order); `None` once a task completed.
+    tasks: Vec<Option<TaskState>>,
+    /// Tasks not yet completed.
+    live: usize,
     clock: VirtualClock,
 }
 
@@ -251,8 +264,8 @@ impl Executor {
     /// An empty executor at virtual slot 0.
     pub fn new() -> Self {
         Self {
-            tasks: BTreeMap::new(),
-            next_id: 0,
+            tasks: Vec::new(),
+            live: 0,
             clock: VirtualClock::default(),
         }
     }
@@ -265,20 +278,18 @@ impl Executor {
     /// Spawns a task; tasks poll in ascending spawn order within each
     /// scheduling round. Returns the task id.
     pub fn spawn(&mut self, future: impl Future<Output = ()> + 'static) -> u64 {
-        let id = self.next_id;
-        self.next_id = self.next_id.saturating_add(1);
+        let id = self.tasks.len() as u64;
         let flag = Arc::new(WakeFlag {
             woken: AtomicBool::new(true),
         });
         let waker = Waker::from(Arc::clone(&flag));
-        self.tasks.insert(
-            id,
-            TaskState {
-                future: Box::pin(future),
-                flag,
-                waker,
-            },
-        );
+        self.tasks.push(Some(TaskState {
+            future: Box::pin(future),
+            flag,
+            waker,
+            runnable: false,
+        }));
+        self.live += 1;
         id
     }
 
@@ -286,43 +297,43 @@ impl Executor {
     /// timer, reported via [`ExecutorStats::stalled`]).
     pub fn run(&mut self) -> ExecutorStats {
         let mut stats = ExecutorStats::default();
+        let mut due: Vec<Waker> = Vec::new();
         loop {
-            let runnable: Vec<u64> = self
-                .tasks
-                .iter()
-                .filter(|(_, task)| task.flag.take())
-                .map(|(id, _)| *id)
-                .collect();
-            if runnable.is_empty() {
-                match self.clock.pop_next_timer() {
-                    Some((slot, wakers)) => {
+            let mut runnable = 0usize;
+            for task in self.tasks.iter_mut().flatten() {
+                task.runnable = task.flag.take();
+                runnable += usize::from(task.runnable);
+            }
+            if runnable == 0 {
+                match self.clock.pop_next_timers(&mut due) {
+                    Some(slot) => {
                         self.clock.jump_to(slot);
                         stats.clock_advances = stats.clock_advances.saturating_add(1);
-                        for waker in wakers {
+                        for waker in due.drain(..) {
                             waker.wake();
                         }
                         continue;
                     }
                     None => {
-                        stats.stalled = self.tasks.len() as u64;
+                        stats.stalled = self.live as u64;
                         break;
                     }
                 }
             }
             stats.rounds = stats.rounds.saturating_add(1);
-            for id in runnable {
-                let Some(task) = self.tasks.get_mut(&id) else {
+            for entry in &mut self.tasks {
+                let Some(task) = entry.as_mut().filter(|task| task.runnable) else {
                     continue;
                 };
-                let waker = task.waker.clone();
-                let mut cx = Context::from_waker(&waker);
+                let mut cx = Context::from_waker(&task.waker);
                 stats.polls = stats.polls.saturating_add(1);
                 if task.future.as_mut().poll(&mut cx).is_ready() {
-                    self.tasks.remove(&id);
+                    *entry = None;
+                    self.live -= 1;
                     stats.completed = stats.completed.saturating_add(1);
                 }
             }
-            if self.tasks.is_empty() {
+            if self.live == 0 {
                 break;
             }
         }
@@ -421,6 +432,37 @@ mod tests {
         }
         exec.run();
         assert_eq!(log.borrow().join(""), "xyxy");
+    }
+
+    /// A round polls the tasks woken when it began: a wake raised by a
+    /// task during the round runs the woken task in the next round.
+    #[test]
+    fn a_wake_raised_during_a_round_runs_in_the_next_round() {
+        let mut exec = Executor::new();
+        let parked: Rc<RefCell<Option<Waker>>> = Rc::default();
+        {
+            let parked = Rc::clone(&parked);
+            exec.spawn(async move {
+                yield_now().await;
+                if let Some(waker) = parked.borrow_mut().take() {
+                    waker.wake();
+                }
+            });
+        }
+        {
+            let parked = Rc::clone(&parked);
+            let mut polled = false;
+            exec.spawn(std::future::poll_fn(move |cx| {
+                if polled {
+                    return Poll::Ready(());
+                }
+                polled = true;
+                *parked.borrow_mut() = Some(cx.waker().clone());
+                Poll::Pending
+            }));
+        }
+        let stats = exec.run();
+        assert_eq!((stats.rounds, stats.polls, stats.completed), (3, 4, 2));
     }
 
     #[test]
