@@ -548,13 +548,20 @@ pub fn decode_request(buf: &mut Bytes) -> Result<Request, WireError> {
 /// any). The buffer is left positioned at the first undecodable byte.
 pub fn decode_stream(buf: &mut Bytes) -> (Vec<Request>, Option<WireError>) {
     let mut out = Vec::new();
+    let err = decode_each(buf, |req| out.push(req));
+    (out, err)
+}
+
+/// [`decode_stream`] without the vector: hands each decoded request to
+/// `f` in order and returns the terminating error (if any).
+pub fn decode_each(buf: &mut Bytes, mut f: impl FnMut(Request)) -> Option<WireError> {
     while !buf.is_empty() {
         match decode_request(buf) {
-            Ok(req) => out.push(req),
-            Err(err) => return (out, Some(err)),
+            Ok(req) => f(req),
+            Err(err) => return Some(err),
         }
     }
-    (out, None)
+    None
 }
 
 /// Encodes `resp` onto `out` as a fixed [`RESP_LEN`]-byte frame.
